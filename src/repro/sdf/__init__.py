@@ -2,7 +2,8 @@
 
 Provides SDF graphs with balance-equation rate analysis, repetition
 vectors, deadlock detection, static schedule (PASS) construction, and an
-actor library for stream processing.
+actor library for stream processing.  The analysis lives in
+:mod:`repro.sdf.analysis`, shared with TDF elaboration and the verifier.
 """
 
 from .actors import (

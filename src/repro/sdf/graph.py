@@ -10,16 +10,16 @@ of tokens per firing, so the balance equations
 admit a smallest positive integer solution — the *repetition vector* —
 whenever the graph is rate-consistent, and a finite static schedule
 (a periodic admissible sequential schedule, PASS) can be constructed by
-symbolic execution.
+symbolic execution.  Both analyses live in :mod:`repro.sdf.analysis`,
+shared with TDF cluster elaboration and the static verifier.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.errors import ElaborationError, SchedulingError
+from . import analysis
 
 
 class Actor:
@@ -137,7 +137,17 @@ class SdfGraph:
         self._schedule = None
         return edge
 
-    # -- rate analysis --------------------------------------------------------
+    # -- analysis (shared with TDF elaboration and the verifier) ---------------
+
+    def _edge_tuples(self) -> list[tuple]:
+        return [(e.src, e.produce_rate, e.dst, e.consume_rate,
+                 len(e.initial_tokens)) for e in self.edges]
+
+    def _named(self) -> tuple[list[str], list[tuple]]:
+        """Actor names and edge tuples between names."""
+        return ([a.name for a in self.actors],
+                [(s.name, p, d.name, c, t)
+                 for s, p, d, c, t in self._edge_tuples()])
 
     def repetition_vector(self) -> dict[Actor, int]:
         """Solve the balance equations.
@@ -146,44 +156,22 @@ class SdfGraph:
         Raises :class:`SchedulingError` if the graph is rate-inconsistent
         (the equations only admit the zero solution).
         """
-        if not self.actors:
-            return {}
-        ratio: dict[Actor, Optional[Fraction]] = {a: None for a in self.actors}
-        adjacency: dict[Actor, list[tuple[Actor, Fraction]]] = {
-            a: [] for a in self.actors
-        }
-        for edge in self.edges:
-            factor = Fraction(edge.produce_rate, edge.consume_rate)
-            adjacency[edge.src].append((edge.dst, factor))
-            adjacency[edge.dst].append((edge.src, 1 / factor))
-        for seed in self.actors:
-            if ratio[seed] is not None:
-                continue
-            ratio[seed] = Fraction(1)
-            stack = [seed]
-            while stack:
-                actor = stack.pop()
-                for neighbor, factor in adjacency[actor]:
-                    implied = ratio[actor] * factor
-                    if ratio[neighbor] is None:
-                        ratio[neighbor] = implied
-                        stack.append(neighbor)
-                    elif ratio[neighbor] != implied:
-                        raise SchedulingError(
-                            f"graph {self.name!r} is rate-inconsistent at "
-                            f"actor {neighbor.name!r}: {ratio[neighbor]} vs "
-                            f"{implied}"
-                        )
-        denominator_lcm = 1
-        for value in ratio.values():
-            denominator_lcm = _lcm(denominator_lcm, value.denominator)
-        counts = {a: int(r * denominator_lcm) for a, r in ratio.items()}
-        overall_gcd = 0
-        for count in counts.values():
-            overall_gcd = gcd(overall_gcd, count)
-        return {a: c // overall_gcd for a, c in counts.items()}
+        balance = analysis.solve_balance(self.actors, self._edge_tuples())
+        if balance.conflicts:
+            actor, ratio, implied = balance.conflicts[0]
+            raise SchedulingError(
+                f"graph {self.name!r} is rate-inconsistent at "
+                f"actor {actor.name!r}: {ratio} vs {implied}"
+            )
+        return balance.repetitions
 
-    # -- scheduling ------------------------------------------------------------
+    def token_run(self) -> analysis.TokenRun:
+        """Symbolic token execution of one schedule period (see
+        :func:`repro.sdf.analysis.simulate`); touches no buffer.
+        Raises :class:`SchedulingError` if the graph is
+        rate-inconsistent."""
+        return analysis.simulate(self.actors, self._edge_tuples(),
+                                 self.repetition_vector())
 
     def schedule(self) -> list[Actor]:
         """Construct a PASS by symbolic execution of token counts.
@@ -193,31 +181,9 @@ class SdfGraph:
         """
         if self._schedule is not None:
             return self._schedule
-        repetitions = self.repetition_vector()
-        counts = {id(e): len(e.initial_tokens) for e in self.edges}
-        remaining = dict(repetitions)
-        inputs_of: dict[Actor, list[Edge]] = {a: [] for a in self.actors}
-        outputs_of: dict[Actor, list[Edge]] = {a: [] for a in self.actors}
-        for edge in self.edges:
-            inputs_of[edge.dst].append(edge)
-            outputs_of[edge.src].append(edge)
-        order: list[Actor] = []
-        progress = True
-        while progress and any(remaining.values()):
-            progress = False
-            for actor in self.actors:
-                while remaining[actor] > 0 and all(
-                    counts[id(e)] >= e.consume_rate for e in inputs_of[actor]
-                ):
-                    for e in inputs_of[actor]:
-                        counts[id(e)] -= e.consume_rate
-                    for e in outputs_of[actor]:
-                        counts[id(e)] += e.produce_rate
-                    remaining[actor] -= 1
-                    order.append(actor)
-                    progress = True
-        if any(remaining.values()):
-            stuck = [a.name for a, r in remaining.items() if r > 0]
+        run = self.token_run()
+        if run.stuck:
+            stuck = [a.name for a in run.stuck]
             cycles = self.zero_delay_cycles()
             hint = (f"; zero-delay cycles needing initial tokens: "
                     f"{cycles}" if cycles else "")
@@ -225,29 +191,19 @@ class SdfGraph:
                 f"graph {self.name!r} deadlocks; actors never fired to "
                 f"completion: {stuck}{hint}"
             )
-        self._schedule = order
-        return order
+        self._schedule = [actor for actor, count, _fusable in run.runs
+                          for _ in range(count)]
+        return self._schedule
 
     def dependency_graph(self):
         """The actor-level dependency digraph (edges lacking enough
         initial tokens to satisfy one firing), as a networkx DiGraph."""
-        import networkx as nx
-
-        digraph = nx.DiGraph()
-        for actor in self.actors:
-            digraph.add_node(actor.name)
-        for edge in self.edges:
-            if len(edge.initial_tokens) < edge.consume_rate:
-                digraph.add_edge(edge.src.name, edge.dst.name)
-        return digraph
+        return analysis.dependency_graph(*self._named())
 
     def zero_delay_cycles(self) -> list[list[str]]:
         """Actor-name cycles with insufficient initial tokens — the
         structural cause of scheduling deadlocks."""
-        import networkx as nx
-
-        return [sorted(cycle) for cycle in
-                nx.simple_cycles(self.dependency_graph())]
+        return analysis.zero_delay_cycles(*self._named())
 
     # -- execution --------------------------------------------------------------
 
@@ -292,6 +248,3 @@ class SdfGraph:
             for e in self.edges
         }
 
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -1,20 +1,17 @@
-"""TDF cluster discovery, rate analysis, timestep propagation, static
-scheduling, and runtime execution.
+"""TDF cluster discovery, elaboration, and runtime execution.
 
 A *cluster* is a maximal set of TDF modules connected through TDF
 signals.  Elaboration performs, in order:
 
-1. **Rate analysis** — the SDF balance equations over port rates yield
-   each module's repetition count per cluster period.
-2. **Timestep propagation** — user-requested module/port timesteps are
-   converted into cluster-period constraints (``period = repetitions *
-   module_timestep``; ``module_timestep = rate * port_timestep``); all
-   constraints must agree, and every derived timestep must be an integer
-   number of time ticks.
-3. **Static scheduling** — a PASS is constructed by symbolic execution
-   honouring port delays as initial tokens; failure means deadlock.
-4. **Consistent initialization** — signals are primed with delay
-   samples and every module's ``initialize`` hook runs before time 0.
+1. **Static analysis** — :class:`~repro.tdf.analysis.TdfAnalysis`
+   checks ports, solves the balance equations, propagates timesteps and
+   synthesizes the static schedule over the shared dataflow analysis of
+   :mod:`repro.sdf.analysis`.  Elaboration raises the analysis's first
+   finding; the static verifier reports every finding of the same
+   analysis, so the two cannot disagree.
+2. **Consistent initialization** — derived timesteps are applied,
+   signals are primed with delay samples and every module's
+   ``initialize`` hook runs before time 0.
 
 At runtime each cluster is one kernel thread waking once per cluster
 period: it samples the DE converter inputs, executes a full schedule
@@ -35,19 +32,14 @@ number of executed periods matches the scalar wake-up count exactly.
 from __future__ import annotations
 
 import time as _time
-from fractions import Fraction
-from math import gcd
 from typing import Optional
 
-from ..core.errors import (
-    ElaborationError,
-    SchedulingError,
-    SynchronizationError,
-)
+from ..core.errors import SynchronizationError
 from ..core.process import THREAD, Process
 from ..core.time import SimTime
+from ..sdf.analysis import simulate
+from .analysis import TdfAnalysis
 from .module import TdfDeIn, TdfDeOut, TdfModule
-from .signal import TdfIn, TdfOut
 
 
 class TdfRegistry:
@@ -112,6 +104,9 @@ def _discover_clusters(modules: list[TdfModule]) -> list[list[TdfModule]]:
 class TdfCluster:
     """One synchronized group of TDF modules."""
 
+    #: the static analysis elaborate() acted on.
+    _analysis: TdfAnalysis
+
     def __init__(self, name: str, modules: list[TdfModule],
                  block_mode: bool = True, batch: int = 16,
                  compact_every: int = 64, telemetry=None):
@@ -162,11 +157,28 @@ class TdfCluster:
     # -- elaboration ------------------------------------------------------------
 
     def elaborate(self) -> None:
-        self._collect_endpoints()
-        self._check_bindings()
-        self._solve_rates()
-        self._propagate_timesteps()
-        self._build_schedule()
+        """Run the :class:`TdfAnalysis`, raise its first finding, then
+        apply the derived timesteps and initialize."""
+        analysis = TdfAnalysis(self.name, self.modules)
+        if analysis.findings:
+            raise analysis.findings[0].error
+        assert analysis.period_ticks is not None
+        self._analysis = analysis
+        self._signals = analysis.signals
+        self._de_inputs = analysis.de_inputs
+        self._de_outputs = analysis.de_outputs
+        self.repetitions = {
+            id(m): n for m, n in analysis.repetitions.items()
+        }
+        self.period = SimTime.from_ticks(analysis.period_ticks)
+        for module in self.modules:
+            module.timestep = SimTime.from_ticks(
+                analysis.module_timestep_ticks[module])
+            for port in module.tdf_ports():
+                port.timestep = SimTime.from_ticks(
+                    module.timestep.ticks // port.rate)
+        self.schedule = [m for m, count, _fusable in analysis.runs
+                         for _ in range(count)]
         self._batch_safe = (
             self.batch > 1
             and not self._de_inputs
@@ -182,200 +194,6 @@ class TdfCluster:
         for module in self.modules:
             module.initialize()
 
-    def _collect_endpoints(self) -> None:
-        seen: set[int] = set()
-        for module in self.modules:
-            for port in module.tdf_ports():
-                if port.signal is not None and id(port.signal) not in seen:
-                    seen.add(id(port.signal))
-                    self._signals.append(port.signal)
-            for converter in module.converter_ports():
-                if isinstance(converter, TdfDeIn):
-                    self._de_inputs.append(converter)
-                else:
-                    self._de_outputs.append(converter)
-
-    def _check_bindings(self) -> None:
-        for module in self.modules:
-            for port in module.tdf_ports():
-                port._check_bound()
-        for signal in self._signals:
-            if signal.writer is None:
-                raise ElaborationError(
-                    f"TDF signal {signal.name!r} has no writer"
-                )
-
-    def _edges(self):
-        """(writer_module, w_rate, reader_module, r_rate, initial_tokens)."""
-        for signal in self._signals:
-            writer = signal.writer
-            for reader in signal.readers:
-                yield (writer.module, writer.rate, reader.module,
-                       reader.rate, writer.delay + reader.delay,
-                       writer, reader)
-
-    def _solve_rates(self) -> None:
-        ratio: dict[int, Optional[Fraction]] = {
-            id(m): None for m in self.modules
-        }
-        adjacency: dict[int, list[tuple[int, Fraction]]] = {
-            id(m): [] for m in self.modules
-        }
-        for w_mod, w_rate, r_mod, r_rate, _d, _wp, _rp in self._edges():
-            factor = Fraction(w_rate, r_rate)
-            adjacency[id(w_mod)].append((id(r_mod), factor))
-            adjacency[id(r_mod)].append((id(w_mod), 1 / factor))
-        names = {id(m): m.full_name() for m in self.modules}
-        for module in self.modules:
-            if ratio[id(module)] is not None:
-                continue
-            ratio[id(module)] = Fraction(1)
-            stack = [id(module)]
-            while stack:
-                node = stack.pop()
-                for neighbor, factor in adjacency[node]:
-                    implied = ratio[node] * factor
-                    if ratio[neighbor] is None:
-                        ratio[neighbor] = implied
-                        stack.append(neighbor)
-                    elif ratio[neighbor] != implied:
-                        raise SchedulingError(
-                            f"TDF cluster {self.name!r} is "
-                            f"rate-inconsistent at {names[neighbor]!r}"
-                        )
-        lcm = 1
-        for value in ratio.values():
-            lcm = lcm * value.denominator // gcd(lcm, value.denominator)
-        counts = {key: int(r * lcm) for key, r in ratio.items()}
-        overall = 0
-        for count in counts.values():
-            overall = gcd(overall, count)
-        self.repetitions = {key: c // overall for key, c in counts.items()}
-
-    def _propagate_timesteps(self) -> None:
-        period_ticks: Optional[int] = None
-        origin = ""
-        for module in self.modules:
-            constraints: list[tuple[int, str]] = []
-            if module.requested_timestep is not None:
-                constraints.append((
-                    module.requested_timestep.ticks,
-                    module.full_name(),
-                ))
-            for port in module.tdf_ports():
-                if port.requested_timestep is not None:
-                    constraints.append((
-                        port.requested_timestep.ticks * port.rate,
-                        port.full_name(),
-                    ))
-            for module_ticks, name in constraints:
-                candidate = module_ticks * self.repetitions[id(module)]
-                if period_ticks is None:
-                    period_ticks, origin = candidate, name
-                elif period_ticks != candidate:
-                    raise ElaborationError(
-                        f"inconsistent timesteps in cluster {self.name!r}: "
-                        f"{origin!r} implies period "
-                        f"{SimTime.from_ticks(period_ticks)}, {name!r} "
-                        f"implies {SimTime.from_ticks(candidate)}"
-                    )
-        if period_ticks is None:
-            raise ElaborationError(
-                f"no timestep assigned anywhere in TDF cluster "
-                f"{self.name!r}; call set_timestep() on at least one "
-                "module or port"
-            )
-        self.period = SimTime.from_ticks(period_ticks)
-        for module in self.modules:
-            reps = self.repetitions[id(module)]
-            if period_ticks % reps:
-                raise ElaborationError(
-                    f"cluster period {self.period} is not divisible by "
-                    f"{module.full_name()!r}'s {reps} activations"
-                )
-            module.timestep = SimTime.from_ticks(period_ticks // reps)
-            for port in module.tdf_ports():
-                if module.timestep.ticks % port.rate:
-                    raise ElaborationError(
-                        f"module timestep {module.timestep} of "
-                        f"{module.full_name()!r} is not divisible by "
-                        f"port rate {port.rate}"
-                    )
-                port.timestep = SimTime.from_ticks(
-                    module.timestep.ticks // port.rate
-                )
-
-    def _simulate_schedule(self, periods: int) -> list:
-        """Token-simulate ``periods`` cluster periods into an RLE PASS.
-
-        Returns ``[(module, run_length), ...]``: the greedy simulation
-        fires each module as many consecutive times as its input tokens
-        allow, so consecutive activations fuse naturally — for a simple
-        chain every module appears once with ``run_length ==
-        repetitions * periods``.  Raises on deadlock.
-        """
-        edges = list(self._edges())
-        tokens = {
-            (id(wp), id(rp)): d for _w, _wr, _r, _rr, d, wp, rp in edges
-        }
-        remaining = {
-            id(m): self.repetitions[id(m)] * periods for m in self.modules
-        }
-        inputs_of = {id(m): [] for m in self.modules}
-        outputs_of = {id(m): [] for m in self.modules}
-        for w_mod, w_rate, r_mod, r_rate, _d, wp, rp in edges:
-            key = (id(wp), id(rp))
-            inputs_of[id(r_mod)].append((key, r_rate))
-            outputs_of[id(w_mod)].append((key, w_rate))
-        entries: list[tuple[TdfModule, int, bool]] = []
-        progress = True
-        while progress and any(remaining.values()):
-            progress = False
-            for module in self.modules:
-                # Token counts before the run: a fused block call reads
-                # its whole input up front, which is only legal when
-                # every input edge already holds the run's full demand
-                # (feedback loops through the module itself interleave
-                # production with consumption and must stay scalar).
-                before = [tokens[key]
-                          for key, _need in inputs_of[id(module)]]
-                fired = 0
-                while remaining[id(module)] > 0 and all(
-                    tokens[key] >= need
-                    for key, need in inputs_of[id(module)]
-                ):
-                    for key, need in inputs_of[id(module)]:
-                        tokens[key] -= need
-                    for key, produced in outputs_of[id(module)]:
-                        tokens[key] += produced
-                    remaining[id(module)] -= 1
-                    fired += 1
-                if fired:
-                    progress = True
-                    fusable = all(
-                        have >= fired * need
-                        for have, (_key, need) in zip(
-                            before, inputs_of[id(module)])
-                    )
-                    if entries and entries[-1][0] is module:
-                        prev = entries[-1]
-                        entries[-1] = (module, prev[1] + fired, False)
-                    else:
-                        entries.append((module, fired, fusable))
-        if any(remaining.values()):
-            stuck = [m.full_name() for m in self.modules
-                     if remaining[id(m)] > 0]
-            raise SchedulingError(
-                f"TDF cluster {self.name!r} deadlocks (insufficient "
-                f"delays on a feedback loop); stuck modules: {stuck}"
-            )
-        return entries
-
-    def _build_schedule(self) -> None:
-        runs = self._simulate_schedule(1)
-        self.schedule = [m for m, count, _ok in runs
-                         for _ in range(count)]
-
     def _entries_for(self, periods: int) -> list:
         """Compiled schedule for ``periods``: (module, count, use_block).
 
@@ -386,12 +204,14 @@ class TdfCluster:
         """
         cached = self._entry_cache.get(periods)
         if cached is None:
+            analysis = self._analysis
             cached = [
                 (module, count,
                  self.block_mode and count > 1 and fusable
                  and module.supports_block())
-                for module, count, fusable
-                in self._simulate_schedule(periods)
+                for module, count, fusable in simulate(
+                    self.modules, analysis.edges, analysis.repetitions,
+                    periods).runs
             ]
             self._entry_cache[periods] = cached
         return cached

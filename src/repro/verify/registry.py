@@ -30,8 +30,10 @@ _RULE_ID = re.compile(r"^[A-Z]+[0-9]{3}$")
 
 #: Bumped manually when an existing rule's *semantics* change without
 #: its id or severity changing; combined with the registry content hash
-#: into :func:`ruleset_version`.
-RULESET_EPOCH = "1"
+#: into :func:`ruleset_version`.  Epoch 2: the TDF rules report the
+#: findings of the analysis elaboration raises from (no TDF008 on large
+#: valid clusters; messages are elaboration's errors).
+RULESET_EPOCH = "2"
 
 
 @dataclass(frozen=True)

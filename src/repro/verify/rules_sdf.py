@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Tuple
 
 from ..core.errors import SchedulingError
+from ..sdf.analysis import TokenRun
+from ..sdf.graph import SdfGraph
 from .context import VerifyContext
 from .diagnostics import Diagnostic
 from .registry import rule
@@ -14,41 +16,15 @@ from .registry import rule
 DEFAULT_BUFFER_LIMIT = 4096
 
 
-def _repetitions(graph):
-    try:
-        return graph.repetition_vector()
-    except SchedulingError:
-        return None
-
-
-def _symbolic_run(graph, repetitions):
-    """Execute token counts for one schedule period without touching
-    the graph.  Returns (deadlocked_actor_names, peak_per_edge)."""
-    counts = {id(e): len(e.initial_tokens) for e in graph.edges}
-    peak = dict(counts)
-    remaining = dict(repetitions)
-    inputs_of = {a: [] for a in graph.actors}
-    outputs_of = {a: [] for a in graph.actors}
-    for edge in graph.edges:
-        inputs_of[edge.dst].append(edge)
-        outputs_of[edge.src].append(edge)
-    progress = True
-    while progress and any(remaining.values()):
-        progress = False
-        for actor in graph.actors:
-            while remaining[actor] > 0 and all(
-                counts[id(e)] >= e.consume_rate
-                for e in inputs_of[actor]
-            ):
-                for e in inputs_of[actor]:
-                    counts[id(e)] -= e.consume_rate
-                for e in outputs_of[actor]:
-                    counts[id(e)] += e.produce_rate
-                    peak[id(e)] = max(peak[id(e)], counts[id(e)])
-                remaining[actor] -= 1
-                progress = True
-    stuck = sorted(a.name for a, r in remaining.items() if r > 0)
-    return stuck, peak
+def _token_runs(
+        ctx: VerifyContext) -> Iterator[Tuple[str, SdfGraph, TokenRun]]:
+    """(location, graph, one-period token run) per rate-consistent
+    graph; SDF001 reports the others."""
+    for location, graph in ctx.sdf_graphs:
+        try:
+            yield location, graph, graph.token_run()
+        except SchedulingError:
+            continue
 
 
 def _edge_label(graph_location, edge):
@@ -74,12 +50,9 @@ def sdf_rate_inconsistent(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @rule("SDF002", domain="sdf", severity="error")
 def sdf_deadlock(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """An SDF graph deadlocks for lack of initial tokens."""
-    for location, graph in ctx.sdf_graphs:
-        repetitions = _repetitions(graph)
-        if repetitions is None:
-            continue  # SDF001 reported the graph already
-        stuck, _peak = _symbolic_run(graph, repetitions)
-        if stuck:
+    for location, graph, run in _token_runs(ctx):
+        if run.stuck:
+            stuck = sorted(a.name for a in run.stuck)
             cycles = graph.zero_delay_cycles()
             yield ctx.diag(
                 "SDF002", "error", f"{location}.{stuck[0]}",
@@ -132,15 +105,10 @@ def sdf_unconnected_output(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @rule("SDF005", domain="sdf", severity="warning")
 def sdf_buffer_bound(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """An edge's predicted peak occupancy exceeds the buffer limit."""
-    for location, graph in ctx.sdf_graphs:
-        repetitions = _repetitions(graph)
-        if repetitions is None:
-            continue
-        stuck, peak = _symbolic_run(graph, repetitions)
-        if stuck:
+    for location, graph, run in _token_runs(ctx):
+        if run.stuck:
             continue  # SDF002 covers deadlocked graphs
-        for edge in graph.edges:
-            bound = peak[id(edge)]
+        for edge, bound in zip(graph.edges, run.peak):
             if bound > DEFAULT_BUFFER_LIMIT:
                 yield ctx.diag(
                     "SDF005", "warning",

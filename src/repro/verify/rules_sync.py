@@ -51,7 +51,7 @@ def converter_rate_indivisible(ctx: VerifyContext) -> Iterator[Diagnostic]:
             module = converter.module
             if module is None:
                 continue
-            ticks = cluster.module_timestep_ticks.get(id(module))
+            ticks = cluster.module_timestep_ticks.get(module)
             if ticks is not None and ticks % converter.rate:
                 yield ctx.diag(
                     "SYNC002", "error", converter.full_name(),

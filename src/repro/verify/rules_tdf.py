@@ -1,9 +1,11 @@
 """Timed-dataflow cluster checks (TDF0xx).
 
-These mirror the runtime cluster elaboration pipeline (bind check, rate
-solving, timestep propagation, schedule synthesis) but run over the
-tolerant :class:`~repro.verify.context.ClusterAnalysis`, so one broken
-stage does not hide findings from the others.
+The error rules report the findings of each cluster's
+:class:`~repro.tdf.analysis.TdfAnalysis` — the analysis cluster
+elaboration raises its first finding from, built on the shared dataflow
+analysis of :mod:`repro.sdf.analysis`.  A diagnostic's message is the
+exact error elaboration would raise; the verifier reports every finding
+rather than the first.
 """
 
 from __future__ import annotations
@@ -15,34 +17,29 @@ from .diagnostics import Diagnostic
 from .registry import rule
 
 
+def _findings(ctx: VerifyContext, rule_id: str,
+              hint: str) -> Iterator[Diagnostic]:
+    for cluster in ctx.clusters:
+        for finding in cluster.findings:
+            if finding.rule == rule_id:
+                yield ctx.diag(rule_id, "error", finding.location,
+                               str(finding.error), hint=hint,
+                               **finding.data)
+
+
 @rule("TDF001", domain="tdf", severity="error")
 def unbound_tdf_port(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """A TDF port is not bound to any TDF signal."""
-    for module in ctx.tdf_modules:
-        for port in module.tdf_ports():
-            if port.signal is None:
-                yield ctx.diag(
-                    "TDF001", "error", port.full_name(),
-                    f"TDF {port.direction}-port is unbound",
-                    hint="bind it to a TdfSignal shared with its peer "
-                         "module",
-                )
+    return _findings(
+        ctx, "TDF001",
+        hint="bind it to a TdfSignal shared with its peer module")
 
 
 @rule("TDF002", domain="tdf", severity="error")
 def signal_without_writer(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """A TDF signal is read but no out-port drives it."""
-    for cluster in ctx.clusters:
-        for signal in cluster.signals:
-            if signal.writer is None and signal.readers:
-                readers = sorted(r.full_name() for r in signal.readers)
-                yield ctx.diag(
-                    "TDF002", "error", signal.name,
-                    f"signal has {len(signal.readers)} reader(s) but "
-                    f"no writer",
-                    hint="bind a TdfOut port to the signal",
-                    readers=readers,
-                )
+    return _findings(ctx, "TDF002",
+                     hint="bind a TdfOut port to the signal")
 
 
 @rule("TDF003", domain="tdf", severity="warning")
@@ -62,76 +59,49 @@ def signal_without_readers(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @rule("TDF004", domain="tdf", severity="error")
 def rate_inconsistent_cluster(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """TDF balance equations admit no consistent repetition vector."""
-    for cluster in ctx.clusters:
-        for location, detail in cluster.rate_conflicts:
-            yield ctx.diag(
-                "TDF004", "error", location,
-                f"cluster {cluster.name} is rate-inconsistent: {detail}",
-                hint="adjust port rates so producer and consumer sample "
-                     "counts balance along every path",
-            )
+    return _findings(
+        ctx, "TDF004",
+        hint="adjust port rates so producer and consumer sample counts "
+             "balance along every path")
 
 
 @rule("TDF005", domain="tdf", severity="error")
 def no_timestep_in_cluster(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """No module or port of a cluster declares a timestep."""
-    for cluster in ctx.clusters:
-        if cluster.repetitions is not None and cluster.timestep_missing:
-            members = sorted(m.full_name() for m in cluster.modules)
-            yield ctx.diag(
-                "TDF005", "error", members[0],
-                f"cluster {cluster.name} ({len(members)} module(s)) "
-                f"has no timestep; at least one module or port must "
-                f"call set_timestep()",
-                hint="call set_timestep() in some member's "
-                     "set_attributes()",
-                members=members,
-            )
+    return _findings(
+        ctx, "TDF005",
+        hint="call set_timestep() in some member's set_attributes()")
 
 
 @rule("TDF006", domain="tdf", severity="error")
 def conflicting_timesteps(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """Two timestep declarations imply different cluster periods."""
-    for cluster in ctx.clusters:
-        for location, detail in cluster.timestep_conflicts:
-            yield ctx.diag(
-                "TDF006", "error", location,
-                f"conflicting timestep constraint: {detail}",
-                hint="declare the timestep once, or make the "
-                     "declarations consistent with the rate ratios",
-            )
+    return _findings(
+        ctx, "TDF006",
+        hint="declare the timestep once, or make the declarations "
+             "consistent with the rate ratios")
 
 
 @rule("TDF007", domain="tdf", severity="error")
 def timestep_not_divisible(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """The cluster period does not divide evenly over rates."""
-    for cluster in ctx.clusters:
-        for location, detail in cluster.divisibility_errors:
-            yield ctx.diag(
-                "TDF007", "error", location,
-                detail,
-                hint="choose a cluster timestep divisible by every "
-                     "module's activation count and port rate",
-            )
+    return _findings(
+        ctx, "TDF007",
+        hint="choose a cluster timestep divisible by every module's "
+             "activation count and port rate")
 
 
 @rule("TDF008", domain="tdf", severity="error")
 def cluster_deadlock(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """A zero-delay feedback loop makes the cluster unschedulable."""
-    for cluster in ctx.clusters:
-        if not cluster.deadlocked:
-            continue
-        cycles = [" -> ".join(cycle) for cycle in cluster.cycles]
-        detail = (f"; zero-delay cycles: {cycles}" if cycles else "")
-        yield ctx.diag(
-            "TDF008", "error", cluster.deadlocked[0],
-            f"cluster {cluster.name} deadlocks; modules never "
-            f"scheduled: {cluster.deadlocked}{detail}",
+    for diagnostic in _findings(
+            ctx, "TDF008",
             hint="break each feedback loop with an out-port delay "
-                 "(set_delay) providing the initial samples",
-            stuck=cluster.deadlocked,
-            cycles=cluster.cycles,
-        )
+                 "(set_delay) providing the initial samples"):
+        cycles = [" -> ".join(cycle) for cycle in diagnostic.data["cycles"]]
+        if cycles:
+            diagnostic.message += f"; zero-delay cycles: {cycles}"
+        yield diagnostic
 
 
 @rule("TDF009", domain="tdf", severity="info")
@@ -153,19 +123,7 @@ def batching_pinned(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @rule("TDF010", domain="tdf", severity="error")
 def invalid_port_attributes(ctx: VerifyContext) -> Iterator[Diagnostic]:
     """A TDF port carries a non-positive rate or negative delay."""
-    for module in ctx.tdf_modules:
-        for port in module.tdf_ports():
-            if port.rate < 1:
-                yield ctx.diag(
-                    "TDF010", "error", port.full_name(),
-                    f"port rate {port.rate} must be >= 1",
-                    hint="pass rate >= 1 (or call set_rate in "
-                         "set_attributes)",
-                )
-            if port.delay < 0:
-                yield ctx.diag(
-                    "TDF010", "error", port.full_name(),
-                    f"port delay {port.delay} must be >= 0",
-                    hint="delays count initial samples and cannot be "
-                         "negative",
-                )
+    return _findings(
+        ctx, "TDF010",
+        hint="pass rate >= 1 and delay >= 0 (or call set_rate/"
+             "set_delay in set_attributes)")

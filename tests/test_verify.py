@@ -330,6 +330,41 @@ def test_tdf010_invalid_port_attributes():
     assert locations == {"top.src.out", "top.sink.inp"}
 
 
+@pytest.mark.parametrize("attrs", [{"rate": 0}, {"delay": -1}])
+def test_invalid_port_attributes_fail_elaboration_by_name(attrs):
+    """Elaboration rejects what TDF010 reports, naming the port, rather
+    than dividing by zero or misreporting a deadlock."""
+    top = Module("top")
+    src = Src("src", top, timestep=TS, **attrs)
+    sink = Sink("sink", top)
+    sig = TdfSignal("s")
+    src.out(sig)
+    sink.inp(sig)
+    assert [d.location for d in verify(top).by_rule("TDF010")] == \
+        ["top.src.out"]
+    with pytest.raises(ElaborationError, match=r"top\.src\.out"):
+        Simulator(top).elaborate()
+
+
+def test_tdf008_silent_on_large_valid_cluster():
+    """A valid cluster needing over a million firings per period is
+    schedulable: the verifier agrees with elaboration."""
+    top = Module("top")
+    src = Src("src", top, timestep=TS)
+    sink = Sink("sink", top, rate=1_000_001)
+    sig = TdfSignal("s")
+    src.out(sig)
+    sink.inp(sig)
+    report = verify(top)
+    assert not report.by_rule("TDF008")
+    assert report.ok
+    sim = Simulator(top)
+    sim.elaborate()
+    cluster = sim._tdf_registry.clusters[0]
+    assert cluster.repetitions[id(src)] == 1_000_001
+    assert cluster.repetitions[id(sink)] == 1
+
+
 # ---------------------------------------------------------------------------
 # SDF rules
 # ---------------------------------------------------------------------------
