@@ -17,6 +17,9 @@ Building blocks:
 * :class:`Campaign` — a space plus the model under test (a
   ``run(params) -> metrics`` function or a ``build(params) ->
   Simulator`` factory) and a root seed;
+* :mod:`repro.campaign.core` — the one execution core (plan,
+  pre-flight, retry/classification, failure artifacts) behind both the
+  runner and :mod:`repro.service`;
 * :class:`CampaignRunner` / :func:`run_campaign` — chunked
   ``ProcessPoolExecutor`` execution with deterministic per-run
   ``SeedSequence.spawn`` seeding, per-run timeouts, retry-once, and a
@@ -28,9 +31,10 @@ Command line: ``python -m repro.campaign spec.py --workers 4``.
 """
 
 from .cache import ResultCache, cache_key
+from .core import RunTimeout, plan_records
 from .loader import SpecError, load_spec, resolve_spec_ref, select_campaign
 from .records import CampaignResults, JsonlAppender, RunRecord, canonical_json
-from .runner import CampaignRunner, RunTimeout, plan_records, run_campaign
+from .runner import CampaignRunner, run_campaign
 from .spec import (
     Campaign,
     Concat,

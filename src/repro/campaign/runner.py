@@ -1,7 +1,10 @@
-"""Parallel campaign execution.
+"""Parallel campaign execution, in process.
 
 :class:`CampaignRunner` turns a :class:`~repro.campaign.spec.Campaign`
-into a :class:`~repro.campaign.records.CampaignResults`:
+into a :class:`~repro.campaign.records.CampaignResults` by driving the
+shared execution core (:mod:`repro.campaign.core`) — the same seeding,
+pre-flight, retry, classification and failure-artifact rules the
+campaign service applies — over a local process pool:
 
 * **deterministic seeding** — run ``k`` receives the ``k``-th child of
   ``SeedSequence(root_seed)`` (as a 64-bit int inside its params), so
@@ -14,8 +17,9 @@ into a :class:`~repro.campaign.records.CampaignResults`:
   testable;
 * **robustness** — each run is wrapped in a per-run wall-clock timeout
   (``SIGALRM``-based, POSIX) and failing runs are retried once before
-  being recorded as ``status="failed"``; one crashing point never kills
-  the campaign;
+  being recorded as ``status="failed"``; a worker process that dies
+  fails only the chunks it was running (retryably), so one crashing
+  point never kills the campaign;
 * **caching** — finished points are stored in a content-addressed
   :class:`~repro.campaign.cache.ResultCache`; re-running a campaign
   executes only changed points.
@@ -30,240 +34,27 @@ enforces this).
 
 from __future__ import annotations
 
-import json
 import logging
-import signal
-import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from ..core.errors import BindingError, ElaborationError, SchedulingError
-from ..lib.seeding import seed_to_int, spawn_seed_sequences
 from ..observe import Telemetry
-from ..observe.metrics import LATENCY_BOUNDS
-from ..resilience.health import diagnostic_of
-from .cache import ResultCache, cache_key
+from .cache import ResultCache
+from .core import (
+    CampaignExecution,
+    RunTarget,
+    RunTask,
+    _execute_chunk,
+    _fork_context,
+    run_target,
+)
+from .core import RunTimeout, _deadline, classify_failure  # noqa: F401  (re-exports)
 from .records import CampaignResults, RunRecord
 from .spec import Campaign
 
 logger = logging.getLogger(__name__)
-
-#: (run, build, duration, metrics, checkpoint_every) — the picklable
-#: execution target shipped to worker processes instead of a live
-#: Campaign/Simulator.
-RunTarget = Tuple[Optional[Callable], Optional[Callable], Any,
-                  Optional[Callable], Any]
-
-#: (index, params, attempt) — one unit of work.
-RunTask = Tuple[int, Dict[str, Any], int]
-
-#: Failures that re-running cannot fix: the model itself is broken
-#: (bad hierarchy, unschedulable dataflow, unbound ports, wrong types).
-#: Everything else — numerical trouble, timeouts, resource hiccups —
-#: is worth the retry-once policy.
-PERMANENT_FAILURES = (ElaborationError, SchedulingError, BindingError,
-                      TypeError)
-
-
-def classify_failure(exc: BaseException) -> str:
-    """``"permanent"`` (do not retry) or ``"retryable"``."""
-    return ("permanent" if isinstance(exc, PERMANENT_FAILURES)
-            else "retryable")
-
-
-class RunTimeout(Exception):
-    """A single campaign run exceeded its wall-clock budget."""
-
-
-@contextmanager
-def _deadline(seconds: Optional[float]):
-    """Raise :class:`RunTimeout` after ``seconds`` of wall-clock time.
-
-    Uses ``SIGALRM`` and therefore only arms in the main thread of a
-    process on POSIX — exactly the situation inside a
-    ``ProcessPoolExecutor`` worker.  Elsewhere it is a no-op.
-    """
-    usable = (
-        seconds is not None and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise RunTimeout(f"run exceeded {seconds:g}s timeout")
-
-    try:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-    except (ValueError, OSError) as exc:
-        # Some embeddings (restricted interpreters, exotic threading
-        # setups) refuse signal handlers even on the main thread; run
-        # without the wall-clock guard rather than failing the point.
-        logger.warning(
-            "cannot install SIGALRM handler (%s); running without "
-            "the %gs per-run timeout", exc, seconds,
-        )
-        yield
-        return
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_point(target: RunTarget, params: Dict[str, Any],
-                   timeout: Optional[float],
-                   hub: Optional[Telemetry] = None) -> Dict[str, Any]:
-    """Run one campaign point; never raises.
-
-    When a :class:`~repro.observe.Telemetry` ``hub`` is given,
-    build-style points record their simulation spans into it (the hub
-    is installed on the freshly built simulator unless the build
-    already attached one), so an executor's per-point kernel activity
-    lands on the campaign/job trace.
-    """
-    run, build, duration, metrics_fn, checkpoint_every = target
-    start = time.perf_counter()
-    simulator = None
-    failure_kind = None
-    diagnostic = None
-    checkpoint = None
-    telemetry_snapshot = None
-    try:
-        with _deadline(timeout):
-            if run is not None:
-                metrics = run(dict(params))
-            else:
-                simulator = build(dict(params))
-                if hub is not None \
-                        and getattr(simulator, "telemetry",
-                                    None) is None:
-                    simulator.telemetry = hub
-                    simulator.kernel.install_telemetry(hub)
-                if checkpoint_every is not None:
-                    simulator.run(duration,
-                                  checkpoint_every=checkpoint_every)
-                else:
-                    simulator.run(duration)
-                snapshot = getattr(simulator, "metrics_snapshot", None)
-                if snapshot is not None:
-                    telemetry_snapshot = snapshot()
-                top = simulator.top
-                if metrics_fn is not None:
-                    metrics = metrics_fn(top)
-                elif hasattr(top, "metrics"):
-                    metrics = top.metrics()
-                else:
-                    raise TypeError(
-                        "Campaign(build=...) needs metrics= or a "
-                        "top.metrics() method")
-        if not isinstance(metrics, dict):
-            raise TypeError(
-                f"campaign run returned {type(metrics).__name__}, "
-                "expected a metrics dict")
-        status, error = "ok", None
-    except Exception as exc:  # one bad point must not kill the campaign
-        metrics = {}
-        status = "failed"
-        error = f"{type(exc).__name__}: {exc}"
-        failure_kind = classify_failure(exc)
-        report = diagnostic_of(exc)
-        if report is not None:
-            diagnostic = report.to_dict()
-        manager = getattr(simulator, "checkpoint_manager", None)
-        if manager is not None:
-            latest = manager.latest()
-            if latest is not None:
-                checkpoint = latest.to_bytes()
-    return {
-        "status": status,
-        "metrics": metrics,
-        "error": error,
-        "failure_kind": failure_kind,
-        "diagnostic": diagnostic,
-        "checkpoint": checkpoint,
-        "metrics_telemetry": telemetry_snapshot,
-        "wall_time": time.perf_counter() - start,
-    }
-
-
-def _execute_chunk(target: RunTarget, tasks: List[RunTask],
-                   timeout: Optional[float],
-                   hub: Optional[Telemetry] = None
-                   ) -> List[Dict[str, Any]]:
-    """Worker entry point: execute a chunk of runs, return result dicts."""
-    results = []
-    for index, params, attempt in tasks:
-        if hub is not None:
-            with hub.tracer.span("point.run", track="points",
-                                 index=index, attempt=attempt) as span:
-                outcome = _execute_point(target, params, timeout, hub)
-                span.set(status=outcome["status"])
-            hub.metrics.counter("worker.points",
-                                status=outcome["status"]).inc()
-            hub.metrics.histogram(
-                "worker.point.seconds",
-                bounds=LATENCY_BOUNDS).observe(outcome["wall_time"])
-        else:
-            outcome = _execute_point(target, params, timeout)
-        outcome["index"] = index
-        outcome["attempt"] = attempt
-        results.append(outcome)
-    return results
-
-
-def _chunked(tasks: List[RunTask], chunk_size: int
-             ) -> List[List[RunTask]]:
-    return [tasks[i:i + chunk_size]
-            for i in range(0, len(tasks), chunk_size)]
-
-
-def plan_records(campaign: Campaign) -> List[RunRecord]:
-    """Seeded skeleton records for every campaign point, in index order.
-
-    Run ``k`` receives the ``k``-th child of
-    ``SeedSequence(root_seed)`` injected under ``seed_key``, so any
-    executor — the in-process runner, the campaign service's sharded
-    workers, a remote host — derives identical parameters for the same
-    point.  Shared by :class:`CampaignRunner` and
-    :mod:`repro.service`.
-    """
-    points = campaign.points()
-    if campaign.seed_key is not None:
-        children = spawn_seed_sequences(campaign.root_seed, len(points))
-        seeds = [seed_to_int(child) for child in children]
-    else:
-        seeds = [None] * len(points)
-    records = []
-    for index, (point, seed) in enumerate(zip(points, seeds)):
-        params = dict(point)
-        if campaign.seed_key is not None:
-            params.setdefault(campaign.seed_key, seed)
-        records.append(RunRecord(index=index, params=params,
-                                 seed=seed, status="pending"))
-    return records
-
-
-#: Outcome keys that survive HTTP transport between the service and
-#: its remote workers.  ``checkpoint`` (raw pickle bytes) is local-only:
-#: it is neither JSON-representable nor meaningful off-host.
-TRANSPORTABLE_OUTCOME_KEYS = (
-    "index", "attempt", "status", "metrics", "error", "failure_kind",
-    "diagnostic", "metrics_telemetry", "wall_time",
-)
-
-
-def outcome_to_json(outcome: Dict[str, Any]) -> Dict[str, Any]:
-    """Strip a :func:`_execute_point` outcome down to its JSON-safe,
-    transportable fields (see :data:`TRANSPORTABLE_OUTCOME_KEYS`)."""
-    return {key: outcome.get(key) for key in TRANSPORTABLE_OUTCOME_KEYS}
 
 
 class CampaignRunner:
@@ -291,13 +82,14 @@ class CampaignRunner:
         (and, unless ``cache_dir`` is set or caching disabled, the
         cache lives in ``out_dir/cache``).
     verify:
-        Static pre-flight verification of build-style campaign points
-        (see :mod:`repro.verify`): each pending point's model is built
-        in the parent process and statically checked; points with
-        verification errors are recorded as ``status="failed"`` /
-        ``failure_kind="static"`` without ever forking a worker.
-        ``"auto"`` (default) enables this whenever the campaign uses
-        ``build=``; ``"on"`` / ``"off"`` force it.
+        Static pre-flight verification of every pending point (see
+        :meth:`~repro.campaign.core.CampaignExecution.preflight`): a
+        ``build=`` point's model is built in the parent process and
+        statically checked; a ``run=`` campaign's callable gets the
+        behavioral CODE lint once.  Rejected points are recorded as
+        ``status="failed"`` / ``failure_kind="static"`` without ever
+        forking a worker.  ``"auto"`` (default) and ``"on"`` enable
+        it; ``"off"`` disables it.
     """
 
     def __init__(self, campaign: Campaign, workers: int = 1,
@@ -335,149 +127,50 @@ class CampaignRunner:
                 f"{verify!r}")
         self.verify = verify
         self.stats: Dict[str, int] = {}
-        self._ruleset: Optional[str] = None
 
-    # -- planning -----------------------------------------------------------
-
-    def _plan(self) -> List[RunRecord]:
-        """Seeded skeleton records for every point, in index order."""
-        return plan_records(self.campaign)
-
-    def _cache_key(self, record: RunRecord) -> str:
-        return cache_key(self.campaign.name, record.params,
-                         self._code_version,
-                         self._ruleset_version())
-
-    def _ruleset_version(self) -> str:
-        """The verifier ruleset version baked into cache keys, so
-        cached results invalidate when the ruleset changes."""
-        if self._ruleset is None:
-            from ..verify import ruleset_version
-
-            self._ruleset = ruleset_version()
-        return self._ruleset
-
-    def _verify_enabled(self) -> bool:
-        if self.verify == "off":
-            return False
-        # Only build-style campaigns expose a model to analyze; a
-        # run= callable is opaque to static verification.
-        return self.campaign.build is not None
-
-    def _preflight(self, tasks: List[RunTask],
-                   by_index: Dict[int, RunRecord]) -> List[RunTask]:
-        """Statically verify pending points in the parent process.
-
-        Points whose models carry verification *errors* are recorded
-        as ``failure_kind="static"`` failures (with the full JSON
-        report persisted under ``out_dir/failures``) and dropped from
-        the dispatch list — no worker is ever forked for them.  Points
-        whose build itself raises fall through to normal execution,
-        which already classifies build failures.
-        """
-        if not self._verify_enabled():
-            return tasks
-        from ..verify import verify_model
-
-        runnable: List[RunTask] = []
-        rejected = 0
-        extra_code = [(f"{self.campaign.name}.build",
-                       self.campaign.build)]
-        if self.campaign.metrics is not None:
-            extra_code.append((f"{self.campaign.name}.metrics",
-                               self.campaign.metrics))
-        for index, params, attempt in tasks:
-            try:
-                simulator = self.campaign.build(dict(params))
-                report = verify_model(simulator.top,
-                                      extra_code=extra_code)
-            except Exception:
-                runnable.append((index, params, attempt))
-                continue
-            if report.ok:
-                runnable.append((index, params, attempt))
-                continue
-            rejected += 1
-            record = by_index[index]
-            record.status = "failed"
-            record.failure_kind = "static"
-            record.error = ("static verification failed: "
-                            + "; ".join(d.format()
-                                        for d in report.errors))
-            self._persist_failure(record, {
-                "diagnostic": {
-                    "message": record.error,
-                    "verification": report.to_dict(),
-                },
-            })
-            if self.progress is not None:
-                self.progress(record)
-        self.stats["static"] = rejected
-        return runnable
-
-    # -- execution ----------------------------------------------------------
+    def _report(self, record: RunRecord) -> None:
+        if self.progress is not None:
+            self.progress(record)
 
     def run(self) -> CampaignResults:
-        campaign = self.campaign
-        self._code_version = campaign.resolved_code_version()
-        records = self._plan()
-        by_index = {record.index: record for record in records}
+        execution = CampaignExecution(
+            self.campaign, self.retries,
+            self.out_dir / "failures" if self.out_dir is not None
+            else None, self.verify)
+        records = execution.records
 
         # 1. serve cache hits
         pending: List[RunTask] = []
         cached = 0
         for record in records:
-            hit = (self.cache.get(self._cache_key(record))
+            hit = (self.cache.get(execution.keys[record.index])
                    if self.cache is not None else None)
             if hit is not None and hit.status == "ok":
-                record.status = hit.status
-                record.metrics = hit.metrics
-                record.error = hit.error
-                record.attempts = hit.attempts
-                record.wall_time = hit.wall_time
-                record.metrics_telemetry = hit.metrics_telemetry
-                record.cached = True
+                execution.adopt(record.index, hit)
                 cached += 1
-                if self.progress is not None:
-                    self.progress(record)
+                self._report(record)
             else:
-                pending.append((record.index, record.params, 1))
+                pending.append(execution.task(record.index))
 
         # 2. static pre-flight: reject broken models without forking
-        self.stats = {}
-        pending = self._preflight(pending, by_index)
-        static = self.stats.get("static", 0)
+        pending, rejected = execution.preflight(pending)
+        for task, _ in rejected:
+            self._report(records[task[0]])
 
         # 3. execute misses, retrying failures up to ``retries`` times
         executed = 0
         retried = 0
-        target: RunTarget = (campaign.run, campaign.build,
-                             campaign.duration, campaign.metrics,
-                             self.checkpoint_every)
+        target = run_target(self.campaign, self.checkpoint_every)
         while pending:
             outcomes = self._dispatch(target, pending)
             executed += len(outcomes)
             retry: List[RunTask] = []
             for outcome in outcomes:
-                record = by_index[outcome["index"]]
-                record.status = outcome["status"]
-                record.metrics = outcome["metrics"]
-                record.error = outcome["error"]
-                record.failure_kind = outcome.get("failure_kind")
-                record.metrics_telemetry = outcome.get(
-                    "metrics_telemetry")
-                record.wall_time += outcome["wall_time"]
-                record.attempts = outcome["attempt"]
-                if (outcome["status"] == "failed"
-                        and outcome.get("failure_kind") != "permanent"
-                        and outcome["attempt"] <= self.retries):
-                    retry.append((record.index, record.params,
-                                  outcome["attempt"] + 1))
+                task = execution.settle(outcome)
+                if task is not None:
+                    retry.append(task)
                 else:
-                    if outcome["status"] == "failed":
-                        self._persist_failure(record, outcome)
-                    if self.progress is not None:
-                        self.progress(record)
+                    self._report(records[outcome["index"]])
             retried += len(retry)
             pending = retry
 
@@ -485,14 +178,14 @@ class CampaignRunner:
         for record in records:
             if record.status == "ok" and not record.cached \
                     and self.cache is not None:
-                self.cache.put(self._cache_key(record), record)
+                self.cache.put(execution.keys[record.index], record)
 
         self.stats = {
             "total": len(records),
             "cached": cached,
             "executed": executed,
             "retried": retried,
-            "static": static,
+            "static": len(rejected),
             "failed": sum(1 for r in records if r.status == "failed"),
         }
         if self.telemetry is not None:
@@ -505,76 +198,44 @@ class CampaignRunner:
             results.write_jsonl(self.out_dir / "records.jsonl")
         return results
 
-    def _persist_failure(self, record: RunRecord,
-                         outcome: Dict[str, Any]) -> None:
-        """Write a failed point's postmortem under ``out_dir/failures``:
-        ``run_NNNNN.diagnostic.json`` always, plus
-        ``run_NNNNN.checkpoint.pkl`` when an in-run checkpoint exists."""
-        if self.out_dir is None:
-            return
-        failures = self.out_dir / "failures"
-        failures.mkdir(parents=True, exist_ok=True)
-        stem = f"run_{record.index:05d}"
-        diagnostic = outcome.get("diagnostic") or {
-            "message": record.error,
-        }
-        diagnostic = dict(diagnostic)
-        diagnostic.setdefault("failure_kind", record.failure_kind)
-        diagnostic.setdefault("params", record.params)
-        diagnostic.setdefault("attempts", record.attempts)
-        path = failures / f"{stem}.diagnostic.json"
-        path.write_text(
-            json.dumps(diagnostic, indent=2, sort_keys=True,
-                       default=str) + "\n",
-            encoding="utf-8",
-        )
-        checkpoint = outcome.get("checkpoint")
-        if checkpoint is not None:
-            (failures / f"{stem}.checkpoint.pkl").write_bytes(checkpoint)
-
     def _dispatch(self, target: RunTarget, tasks: List[RunTask]
                   ) -> List[Dict[str, Any]]:
-        """Run ``tasks``, chunked, serially or on the process pool."""
+        """Run ``tasks``, chunked, serially or on the process pool; a
+        chunk whose worker process died yields executor-lost outcomes."""
         chunk_size = self.chunk_size
         if chunk_size is None:
             chunk_size = max(1, -(-len(tasks) // (4 * self.workers)))
-        chunks = _chunked(tasks, chunk_size)
+        chunks = [tasks[i:i + chunk_size]
+                  for i in range(0, len(tasks), chunk_size)]
         hub = self.telemetry
-        if self.workers <= 1 or len(tasks) <= 1:
+        if self.workers <= 1:
             outcomes: List[Dict[str, Any]] = []
             for chunk in chunks:
                 outcomes.extend(_execute_chunk(target, chunk,
                                                self.timeout, hub))
             return outcomes
-        context = _fork_context()
         dispatch_span = (hub.tracer.span("campaign.dispatch",
                                          track="campaign",
                                          chunks=len(chunks),
                                          tasks=len(tasks))
                          if hub is not None else None)
         with ProcessPoolExecutor(max_workers=self.workers,
-                                 mp_context=context) as pool:
+                                 mp_context=_fork_context()) as pool:
             futures = [pool.submit(_execute_chunk, target, chunk,
                                    self.timeout)
                        for chunk in chunks]
             outcomes = []
-            for future in futures:
-                outcomes.extend(future.result())
+            for chunk, future in zip(chunks, futures):
+                try:
+                    outcomes.extend(future.result())
+                except BrokenProcessPool as exc:
+                    logger.warning("a campaign worker process died; "
+                                   "%d point(s) lost", len(chunk),
+                                   exc_info=exc)
+                    outcomes.extend(CampaignExecution.lost(chunk, exc))
         if dispatch_span is not None:
             dispatch_span.close()
         return outcomes
-
-
-def _fork_context():
-    """Prefer ``fork`` so callables defined in CLI-loaded spec files
-    resolve in workers without re-importing; fall back to the platform
-    default elsewhere (e.g. Windows/macOS spawn)."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 def run_campaign(campaign: Campaign, **kwargs) -> CampaignResults:

@@ -14,7 +14,7 @@ guard rail:
   ``diagnostic`` attribute): failure time, state snapshot, residual
   trace, attempted fallback tiers, and the chain of underlying errors.
   Reports serialize to JSON so campaign workers can persist them as
-  artifacts (see :mod:`repro.campaign.runner`).
+  artifacts (see :mod:`repro.campaign.core`).
 """
 
 from __future__ import annotations

@@ -34,13 +34,7 @@ worker,metrics,trace,usage,top}``.
 """
 
 from .client import ServiceClient, ServiceError
-from .jobs import (
-    Job,
-    JobRequest,
-    SubmitError,
-    execute_chunk_by_ref,
-    execute_chunk_traced,
-)
+from .jobs import Job, JobRequest, SubmitError, execute_chunk_by_ref
 from .queue import PRIORITIES, FairShareQueue, QueueFull
 from .server import CampaignService, ServiceHandle, start_in_thread
 from .store import SharedResultStore
@@ -59,7 +53,6 @@ __all__ = [
     "SharedResultStore",
     "SubmitError",
     "execute_chunk_by_ref",
-    "execute_chunk_traced",
     "run_worker",
     "start_in_thread",
 ]

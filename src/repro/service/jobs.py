@@ -1,30 +1,33 @@
 """Job, chunk and submission models for the campaign service.
 
 A *job* is one submitted campaign: a spec reference, a tenant, a
-priority, and the planned (seeded) records of every point.  A *chunk*
-is the dispatch unit — a slice of a job's pending points shipped to a
-local pool worker or leased to a remote worker.  Both local and remote
-executors run the same entry point, :func:`execute_chunk_by_ref`,
-which re-resolves the campaign from its textual spec reference inside
-the worker process — the wire (and the pickle stream) carries only
-strings and parameter dicts, never live callables or simulators.
+priority, and its :class:`~repro.campaign.core.CampaignExecution` —
+the planned (seeded) records, cache keys and settle/retry/artifact
+rules shared with the in-process runner.  A *chunk* is the dispatch
+unit — a slice of a job's pending points shipped to a local pool
+worker or leased to a remote worker.  Both local and remote executors
+run the same entry point, :func:`execute_chunk_by_ref`, which
+re-resolves the campaign from its textual spec reference inside the
+worker process — the wire (and the pickle stream) carries only strings
+and parameter dicts, never live callables or simulators.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..campaign.loader import resolve_spec_ref
-from ..campaign.records import RunRecord
-from ..campaign.runner import (
+from ..campaign.core import (
+    CampaignExecution,
     RunTask,
     _execute_chunk,
     outcome_to_json,
+    run_target,
 )
-from ..campaign.spec import Campaign
+from ..campaign.loader import resolve_spec_ref
 from ..observe import Telemetry
 from ..observe.fleet import DEFAULT_SEGMENT_SPANS, telemetry_payload
 from .queue import PRIORITIES
@@ -152,16 +155,13 @@ class Job:
     """One submitted campaign and its live execution state."""
 
     def __init__(self, job_id: str, request: JobRequest,
-                 campaign: Campaign, records: List[RunRecord],
-                 keys: List[str], code_version: str):
+                 execution: CampaignExecution):
         self.id = job_id
         self.request = request
-        self.campaign = campaign
+        #: the campaign's records, cache keys and settle rules
+        self.execution = execution
         #: canonical ``path::name`` reference workers execute by
         self.exec_ref = request.spec
-        self.records = records          # index-ordered skeletons
-        self.keys = keys                # cache key per record index
-        self.code_version = code_version
         self.state = QUEUED
         self.submitted_at = time.time()
         self.started_monotonic: Optional[float] = None
@@ -179,33 +179,29 @@ class Job:
         self.segments: List[Dict[str, Any]] = []
         self.segments_dropped = 0
         self.counts: Dict[str, int] = {
-            "total": len(records), "completed": 0, "ok": 0,
+            "total": len(execution.records), "completed": 0, "ok": 0,
             "failed": 0, "cached": 0, "deduped": 0, "executed": 0,
         }
         self._chunk_seq = itertools.count(1)
 
     # -- structure -----------------------------------------------------------
 
-    def next_chunk_id(self) -> str:
-        return f"{self.id}/{next(self._chunk_seq)}"
-
-    def make_chunks(self, tasks: List[RunTask],
-                    chunk_size: Optional[int]) -> List[Chunk]:
-        size = chunk_size or self.request.chunk_size \
-            or DEFAULT_CHUNK_SIZE
-        now = time.time()
-        chunks = [
-            Chunk(chunk_id=self.next_chunk_id(), job_id=self.id,
-                  tenant=self.request.tenant,
-                  priority=self.request.priority,
-                  tasks=tasks[i:i + size], created_wall=now)
-            for i in range(0, len(tasks), size)
-        ]
+    def chunk(self, tasks: List[RunTask]) -> Chunk:
+        """A new dispatch unit of ``tasks``, traced (when the job is)
+        under a child of the job's trace context."""
+        chunk = Chunk(chunk_id=f"{self.id}/{next(self._chunk_seq)}",
+                      job_id=self.id, tenant=self.request.tenant,
+                      priority=self.request.priority, tasks=tasks,
+                      created_wall=time.time())
         if self.trace_context is not None:
-            for chunk in chunks:
-                chunk.traceparent = \
-                    self.trace_context.child().to_traceparent()
-        return chunks
+            chunk.traceparent = \
+                self.trace_context.child().to_traceparent()
+        return chunk
+
+    def make_chunks(self, tasks: List[RunTask]) -> List[Chunk]:
+        size = self.request.chunk_size or DEFAULT_CHUNK_SIZE
+        return [self.chunk(tasks[i:i + size])
+                for i in range(0, len(tasks), size)]
 
     # -- status --------------------------------------------------------------
 
@@ -228,7 +224,7 @@ class Job:
         return {
             "id": self.id,
             "state": self.state,
-            "campaign": self.campaign.name,
+            "campaign": self.execution.campaign.name,
             "spec": self.request.spec,
             "tenant": self.request.tenant,
             "priority": self.request.priority,
@@ -240,55 +236,38 @@ class Job:
 
 
 def execute_chunk_by_ref(spec_ref: str, tasks: List[RunTask],
-                         timeout: Optional[float]
-                         ) -> List[Dict[str, Any]]:
-    """Worker entry point shared by the local pool and remote hosts.
-
-    Resolves ``spec_ref`` (memoized per process by
-    :func:`~repro.core.resolve.load_module_from_path`), executes the
-    chunk through the campaign runner's machinery — per-run SIGALRM
-    timeout, failure classification, telemetry harvest — and returns
-    JSON-safe outcome dicts.  Tasks arrive as ``(index, params,
-    attempt)`` with seeds already planned into ``params``, so every
-    executor produces bit-identical metrics for the same task.
-    """
-    campaign = resolve_spec_ref(spec_ref)
-    target = (campaign.run, campaign.build, campaign.duration,
-              campaign.metrics, None)
-    tasks = [(int(i), dict(p), int(a)) for i, p, a in tasks]
-    outcomes = _execute_chunk(target, tasks, timeout)
-    return [outcome_to_json(outcome) for outcome in outcomes]
-
-
-def execute_chunk_traced(spec_ref: str, tasks: List[RunTask],
                          timeout: Optional[float],
                          traceparent: Optional[str] = None,
                          worker: str = "",
                          max_spans: int = DEFAULT_SEGMENT_SPANS
                          ) -> Dict[str, Any]:
-    """:func:`execute_chunk_by_ref` plus a telemetry segment.
+    """Worker entry point shared by the local pool and remote hosts.
 
-    The executor builds a chunk-local :class:`~repro.observe.Telemetry`
-    hub (so fork-pool workers, remote pull-workers and the server's own
-    threads never share mutable telemetry state), runs the chunk
-    through the campaign machinery with that hub installed — per-point
-    ``point.run`` spans plus each point's simulation spans — and
-    returns ``{"outcomes": [...], "telemetry": segment}`` where the
-    segment (:func:`~repro.observe.fleet.telemetry_payload`) carries
-    the spans, metrics and wall-clock epoch needed for stitching.
+    Resolves ``spec_ref`` (memoized per process by
+    :func:`~repro.core.resolve.load_module_from_path`), executes the
+    chunk through the campaign core — per-run SIGALRM timeout, failure
+    classification, telemetry harvest — and returns ``{"outcomes":
+    [...], "telemetry": segment}`` with JSON-safe outcomes.  Tasks
+    arrive as ``(index, params, attempt)`` with seeds already planned
+    into ``params``, so every executor produces bit-identical metrics.
+
+    Telemetry is on when a ``traceparent`` is given: a chunk-local
+    :class:`~repro.observe.Telemetry` hub (never shared between pool
+    workers, pull-workers and server threads) records ``point.run``
+    spans plus each point's simulation spans, shipped as a
+    :func:`~repro.observe.fleet.telemetry_payload` segment; otherwise
+    ``telemetry`` is ``None``.
     """
-    campaign = resolve_spec_ref(spec_ref)
-    target = (campaign.run, campaign.build, campaign.duration,
-              campaign.metrics, None)
+    target = run_target(resolve_spec_ref(spec_ref))
     tasks = [(int(i), dict(p), int(a)) for i, p, a in tasks]
-    hub = Telemetry(max_events=max_spans)
-    with hub.tracer.span("chunk.run", track="chunk",
-                         tasks=len(tasks)):
+    hub = Telemetry(max_events=max_spans) if traceparent else None
+    with (hub.tracer.span("chunk.run", track="chunk", tasks=len(tasks))
+          if hub is not None else nullcontext()):
         outcomes = _execute_chunk(target, tasks, timeout, hub)
     return {
-        "outcomes": [outcome_to_json(outcome)
-                     for outcome in outcomes],
-        "telemetry": telemetry_payload(hub, worker=worker,
-                                       traceparent=traceparent,
-                                       max_spans=max_spans),
+        "outcomes": [outcome_to_json(outcome) for outcome in outcomes],
+        "telemetry": (telemetry_payload(hub, worker=worker,
+                                        traceparent=traceparent,
+                                        max_spans=max_spans)
+                      if hub is not None else None),
     }

@@ -1,8 +1,8 @@
 """The campaign service: an asyncio HTTP façade over sharded workers.
 
 One :class:`CampaignService` process owns the control plane — job
-admission (with static pre-flight), the fair-share chunk queue, the
-single-flight table, per-job streaming — and executes chunks on two
+admission, the fair-share chunk queue, leases, the single-flight table,
+per-job streaming and fleet telemetry — and executes chunks on two
 kinds of data plane simultaneously:
 
 * a **local process pool** (``workers`` > 0), fed by the dispatcher
@@ -42,11 +42,21 @@ POST   /v1/workers/complete            return chunk outcomes
                                        (+ optional telemetry segment)
 ====== =============================== =================================
 
+Per-campaign execution rules are not the service's own: each job holds
+a :class:`~repro.campaign.core.CampaignExecution`, the same core the
+in-process :class:`~repro.campaign.runner.CampaignRunner` drives.  It
+plans the points and their cache keys, pre-flights the job's first
+point at admission (a rejection is the 422), settles every outcome
+(retry or final) and leaves a failed point's artifacts under
+``out_dir/jobs/<id>/failures/`` — the runner's ``out_dir/failures/``
+path scheme.  Completions are accepted only for the tasks of the chunk
+that was dispatched; anything else a worker returns is ignored.
+
 Fleet observability (``observe="on"``, the default): each admitted job
 mints a W3C-``traceparent``-style trace context; every chunk dispatch
 derives a child context carried to executors through the lease payload
-and the fork/pickle boundary.  Executors run chunks through
-:func:`~repro.service.jobs.execute_chunk_traced`, shipping a
+and the fork/pickle boundary.  Given that context,
+:func:`~repro.service.jobs.execute_chunk_by_ref` ships a
 size-capped telemetry segment (spans + metrics + wall-clock epoch)
 back with their outcomes; the server adds its own queue-wait / lease
 spans and cache-hit instants and stitches everything into one
@@ -77,10 +87,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__ as _VERSION
-from ..campaign.cache import cache_key
+from ..campaign.core import CampaignExecution, RunTask, _fork_context
 from ..campaign.loader import SpecError, resolve_spec_ref, split_spec_ref
 from ..campaign.records import CampaignResults, JsonlAppender, RunRecord
-from ..campaign.runner import _fork_context, plan_records
 from ..campaign.spec import Campaign, FixedPoints
 from ..observe import MetricsRegistry
 from ..observe.fleet import (
@@ -112,7 +121,6 @@ from .jobs import (
     JobRequest,
     SubmitError,
     execute_chunk_by_ref,
-    execute_chunk_traced,
 )
 from .queue import FairShareQueue
 
@@ -195,9 +203,6 @@ class CampaignService:
         self._wake: Optional[asyncio.Event] = None
         self._stopping: Optional[asyncio.Event] = None
         self.ready = threading.Event()
-
-        from ..verify import ruleset_version
-        self._ruleset = ruleset_version()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -366,7 +371,7 @@ class CampaignService:
         return Response.json(job.status(), status=201)
 
     def _submit(self, request: JobRequest) -> Job:
-        """Admission: resolve → customize → verify → plan → classify →
+        """Admission: resolve → customize → plan → verify → classify →
         enqueue.  Runs synchronously on the event loop, so admission of
         concurrent submissions is serialized and race-free."""
         try:
@@ -374,13 +379,17 @@ class CampaignService:
         except SpecError as exc:
             raise HttpError(400, f"cannot resolve spec: {exc}")
         campaign = self._customize(campaign, request)
-        records = plan_records(campaign)
-        self._verify_submit(campaign, records)
-
-        code_version = campaign.resolved_code_version()
-        keys = [cache_key(campaign.name, record.params, code_version,
-                          self._ruleset)
-                for record in records]
+        execution = CampaignExecution(campaign, request.retries,
+                                      verify=self.verify)
+        # the first point stands for the whole spec: a crashing build
+        # stays runnable, so the worker classifies it like any failure
+        _, rejected = execution.preflight(
+            [execution.task(0)] if execution.records else [])
+        if rejected:
+            self.metrics.counter("service.jobs.rejected").inc()
+            raise HttpError(422, "static verification failed",
+                            campaign=campaign.name,
+                            diagnostics=rejected[0][1].to_dict())
 
         # classify every point before mutating any shared state, so a
         # 429 leaves no residue
@@ -389,7 +398,7 @@ class CampaignService:
         external: List[Tuple[int, str]] = []
         dispatch: List[Tuple[int, str]] = []
         seen_in_job: Dict[str, int] = {}
-        for index, key in enumerate(keys):
+        for index, key in enumerate(execution.keys):
             hit = self.store.get(key) if self.store is not None \
                 else None
             if hit is not None and hit.status == "ok":
@@ -414,8 +423,10 @@ class CampaignService:
 
         self._job_seq += 1
         job_id = f"j{self._job_seq:05d}"
-        job = Job(job_id, request, campaign, records, keys,
-                  code_version)
+        job = Job(job_id, request, execution)
+        if self.out_dir is not None:
+            execution.failures_dir = \
+                self.out_dir / "jobs" / job_id / "failures"
         path, _ = split_spec_ref(request.spec)
         job.exec_ref = f"{path}::{campaign.name}"
         self.jobs[job_id] = job
@@ -431,8 +442,7 @@ class CampaignService:
                              tenant=request.tenant).inc()
 
         for index, hit in cached_hits:
-            self._finalize_from_record(job, index, hit,
-                                       source="cached")
+            self._adopt(job, index, hit, source="cached")
         for index, key in follow:
             self._followers.setdefault(key, []).append((job_id, index))
         for index, key in external:
@@ -442,9 +452,9 @@ class CampaignService:
             if self.store is not None:
                 self.store.try_claim(key, self.owner)
             self._leader[key] = (job_id, index)
-            tasks.append((index, records[index].params, 1))
+            tasks.append(execution.task(index))
         if tasks:
-            for chunk in job.make_chunks(tasks, request.chunk_size):
+            for chunk in job.make_chunks(tasks):
                 self.chunks[chunk.chunk_id] = chunk
                 self.queue.push(chunk)
         elif not job.terminal and job.counts["completed"] \
@@ -471,53 +481,6 @@ class CampaignService:
             return campaign
         return dataclasses.replace(campaign, **changes)
 
-    def _verify_submit(self, campaign: Campaign,
-                       records: List[RunRecord]) -> None:
-        """Static pre-flight on a sample point: a spec whose model the
-        verifier rejects is refused with a structured 422 before any
-        queue slot or worker is spent.  (Per-point pre-flight remains
-        the in-process runner's job; the service checks the first
-        planned point as the spec's representative.)  ``run``-style
-        campaigns expose no model, but their callable still gets the
-        behavioral CODE lint (determinism, pickle safety)."""
-        if self.verify == "off" or not records:
-            return
-        from ..verify import verify_callables, verify_model
-
-        if campaign.build is None:
-            if campaign.run is None:
-                return
-            report = verify_callables(
-                [(f"{campaign.name}.run", campaign.run)],
-                target=campaign.name)
-            if not report.ok:
-                self.metrics.counter("service.jobs.rejected").inc()
-                raise HttpError(
-                    422, "static verification failed",
-                    campaign=campaign.name,
-                    diagnostics=report.to_dict(),
-                )
-            return
-
-        extra_code = [(f"{campaign.name}.build", campaign.build)]
-        if campaign.metrics is not None:
-            extra_code.append(
-                (f"{campaign.name}.metrics", campaign.metrics))
-        try:
-            simulator = campaign.build(dict(records[0].params))
-            report = verify_model(simulator.top,
-                                  extra_code=extra_code)
-        except Exception:
-            # a crashing build is an *execution* failure — dispatch it
-            # so the worker classifies it, exactly like CampaignRunner
-            return
-        if not report.ok:
-            self.metrics.counter("service.jobs.rejected").inc()
-            raise HttpError(
-                422, "static verification failed",
-                campaign=campaign.name,
-                diagnostics=report.to_dict())
-
     # ------------------------------------------------------------------
     # point finalization, dedup and streaming
     # ------------------------------------------------------------------
@@ -530,37 +493,20 @@ class CampaignService:
         self._appenders[job.id] = JsonlAppender(
             directory / "records.jsonl")
 
-    def _finalize_from_record(self, job: Job, index: int,
-                              source_record: RunRecord,
-                              source: str) -> None:
+    def _adopt(self, job: Job, index: int, result: RunRecord,
+               source: str,
+               outcome: Optional[Dict[str, Any]] = None) -> None:
         """Complete one point from an already-computed record (store
-        hit or dedup'd leader result)."""
-        self._finalize_point(
-            job, index, status=source_record.status,
-            metrics=source_record.metrics, error=source_record.error,
-            failure_kind=source_record.failure_kind,
-            attempts=source_record.attempts,
-            wall_time=source_record.wall_time,
-            metrics_telemetry=source_record.metrics_telemetry,
-            source=source)
+        hit or dedup'd leader result, with the leader's outcome)."""
+        if not job.terminal \
+                and job.execution.adopt(index, result, outcome):
+            self._finalize_point(job, index, source)
 
-    def _finalize_point(self, job: Job, index: int, *, status: str,
-                        metrics: Dict[str, Any], error: Optional[str],
-                        failure_kind: Optional[str], attempts: int,
-                        wall_time: float,
-                        metrics_telemetry: Optional[Dict[str, Any]],
-                        source: str) -> None:
-        record = job.records[index]
-        if record.status != "pending":
-            return  # late duplicate; first finalization won
-        record.status = status
-        record.metrics = dict(metrics or {})
-        record.error = error
-        record.failure_kind = failure_kind
-        record.attempts = attempts
-        record.wall_time += wall_time
-        record.metrics_telemetry = metrics_telemetry
-        record.cached = source in ("cached", "dedup")
+    def _finalize_point(self, job: Job, index: int, source: str) -> None:
+        """Count and stream a point the job's execution just made final
+        (``source``: executed, cached or dedup)."""
+        record = job.execution.records[index]
+        status = record.status
         job.counts["completed"] += 1
         job.counts["ok" if status == "ok" else "failed"] += 1
         counter = {"cached": "cached", "dedup": "deduped",
@@ -579,15 +525,15 @@ class CampaignService:
             # the exposition's kind="failed" discriminator label
             self.metrics.counter(
                 "service.point.failures", tenant=tenant,
-                kind=failure_kind or "unknown").inc()
+                kind=record.failure_kind or "unknown").inc()
         if source == "executed":
             self.metrics.histogram(
                 "service.point.seconds", bounds=LATENCY_BOUNDS,
-                tenant=tenant).observe(float(wall_time))
+                tenant=tenant).observe(record.wall_time)
         else:
             self._server_event(job, INSTANT, "cache.hit", "cache",
-                              time.time(), 0.0, index=index,
-                              source=source)
+                               time.time(), 0.0, index=index,
+                               source=source)
 
         entry = record.to_dict()
         entry["seq"] = len(job.completed)
@@ -645,59 +591,37 @@ class CampaignService:
 
     def _on_point_outcome(self, job: Job,
                           outcome: Dict[str, Any]) -> None:
-        index = int(outcome["index"])
-        if not 0 <= index < len(job.records):
-            return
-        key = job.keys[index]
-        record = job.records[index]
-        status = outcome.get("status", "failed")
-        attempt = int(outcome.get("attempt", 1))
-        failure_kind = outcome.get("failure_kind")
-
-        if status == "failed" and failure_kind != "permanent" \
-                and attempt <= job.request.retries \
-                and not job.terminal:
-            record.wall_time += float(outcome.get("wall_time", 0.0))
-            retry = Chunk(chunk_id=job.next_chunk_id(),
-                          job_id=job.id, tenant=job.request.tenant,
-                          priority=job.request.priority,
-                          tasks=[(index, record.params, attempt + 1)],
-                          created_wall=time.time())
-            self._trace_chunk(job, retry)
-            self.chunks[retry.chunk_id] = retry
-            self.queue.push(retry, force=True)
-            self.metrics.counter("service.points.retried").inc()
-            self._wakeup()
-            return
-
-        result = RunRecord(
-            index=index, params=record.params, seed=record.seed,
-            status=status, metrics=dict(outcome.get("metrics") or {}),
-            error=outcome.get("error"), failure_kind=failure_kind,
-            wall_time=float(outcome.get("wall_time", 0.0)),
-            attempts=attempt,
-            metrics_telemetry=outcome.get("metrics_telemetry"))
-        if not job.terminal:
-            self._finalize_from_record(job, index, result,
-                                       source="executed")
+        execution = job.execution
+        index = outcome["index"]
+        if job.terminal \
+                or execution.records[index].status != "pending":
+            # a cancelled job (or a late duplicate) keeps nothing; the
+            # result still serves the shared store and the followers
+            result = execution.result_of(outcome)
+        else:
+            retry = execution.settle(outcome)
+            if retry is not None:
+                self._push_chunk(job, [retry])
+                self.metrics.counter("service.points.retried").inc()
+                return
+            result = execution.records[index]
+            self._finalize_point(job, index, source="executed")
+        key = execution.keys[index]
         if self.store is not None:
             self.store.publish(key, result, owner=self.owner)
-        leader = self._leader.get(key)
-        if leader == (job.id, index):
+        if self._leader.get(key) == (job.id, index):
             del self._leader[key]
         for fjob_id, findex in self._followers.pop(key, []):
             follower = self.jobs.get(fjob_id)
-            if follower is not None and not follower.terminal:
-                self._finalize_from_record(follower, findex, result,
-                                           source="dedup")
+            if follower is not None:
+                self._adopt(follower, findex, result, "dedup", outcome)
 
-    @staticmethod
-    def _trace_chunk(job: Job, chunk: Chunk) -> None:
-        """Derive a child trace context for an ad-hoc (retry/requeue/
-        promotion) chunk; batch chunks get theirs in ``make_chunks``."""
-        if job.trace_context is not None:
-            chunk.traceparent = \
-                job.trace_context.child().to_traceparent()
+    def _push_chunk(self, job: Job, tasks: List[RunTask]) -> None:
+        """Queue an ad-hoc (retry/requeue/promotion) chunk."""
+        chunk = job.chunk(tasks)
+        self.chunks[chunk.chunk_id] = chunk
+        self.queue.push(chunk, force=True)
+        self._wakeup()
 
     def _record_queue_wait(self, job: Job, chunk: Chunk) -> None:
         """Queue-wait accounting at the moment a chunk leaves the
@@ -719,6 +643,16 @@ class CampaignService:
         if chunk.state == "done":
             self.metrics.counter("service.chunks.duplicate").inc()
             return False
+        # only outcomes for this chunk's own tasks count, each with the
+        # attempt that was dispatched; anything else is ignored
+        attempts = {index: attempt for index, _p, attempt in chunk.tasks}
+        own: Dict[int, Dict[str, Any]] = {}
+        for outcome in outcomes:
+            index = outcome.get("index") \
+                if isinstance(outcome, dict) else None
+            if type(index) is int and index in attempts:
+                own.setdefault(index,
+                               dict(outcome, attempt=attempts[index]))
         chunk.state = "done"
         self.chunks.pop(chunk.chunk_id, None)
         self.metrics.counter("service.chunks.completed").inc()
@@ -734,24 +668,14 @@ class CampaignService:
                 max(0.0, time.time() - chunk.started_wall),
                 chunk=chunk.chunk_id, worker=worker,
                 tasks=len(chunk.tasks))
-        returned = set()
-        for outcome in outcomes:
-            if not isinstance(outcome, dict) or "index" not in outcome:
-                continue
-            returned.add(int(outcome["index"]))
+        for outcome in own.values():
             self._on_point_outcome(job, outcome)
-        missing = [(index, params, attempt)
-                   for index, params, attempt in chunk.tasks
-                   if index not in returned
-                   and job.records[index].status == "pending"]
+        missing = [task for task in chunk.tasks
+                   if task[0] not in own
+                   and job.execution.records[task[0]].status
+                   == "pending"]
         if missing and not job.terminal:
-            requeued = Chunk(chunk_id=job.next_chunk_id(),
-                             job_id=job.id, tenant=chunk.tenant,
-                             priority=chunk.priority, tasks=missing,
-                             created_wall=time.time())
-            self._trace_chunk(job, requeued)
-            self.chunks[requeued.chunk_id] = requeued
-            self.queue.push(requeued, force=True)
+            self._push_chunk(job, missing)
             self.metrics.counter("service.chunks.requeued").inc()
         self._observe_queue_depth()
         self._wakeup()
@@ -800,37 +724,32 @@ class CampaignService:
             except asyncio.TimeoutError:
                 pass
 
-    def _start_local(self, chunk: Chunk) -> None:
+    def _take(self, chunk: Chunk, worker: str) -> Optional[Job]:
+        """Lease a popped chunk to ``worker`` (the reaper never expires
+        ``"local"`` leases); ``None`` when its job is gone."""
         job = self.jobs.get(chunk.job_id)
         if job is None or job.terminal:
             chunk.state = "done"
             self.chunks.pop(chunk.chunk_id, None)
-            return
-        # local chunks never expire: the pool future completing (or
-        # breaking) is their lifecycle, not the lease reaper
-        chunk.state = "leased"
-        chunk.worker = "local"
-        chunk.started_wall = time.time()
+            return None
+        chunk.lease(worker, self.lease_timeout)
         self._mark_started(job)
         self._record_queue_wait(job, chunk)
-        self._local_busy += 1
         self.metrics.counter("service.chunks.leased").inc()
-        self._spawn(self._run_local(job, chunk))
+        return job
+
+    def _start_local(self, chunk: Chunk) -> None:
+        job = self._take(chunk, "local")
+        if job is not None:
+            self._local_busy += 1
+            self._spawn(self._run_local(job, chunk))
 
     async def _run_local(self, job: Job, chunk: Chunk) -> None:
-        telemetry = None
         try:
-            if job.trace_context is not None:
-                traced = await self._loop.run_in_executor(
-                    self._pool, execute_chunk_traced, job.exec_ref,
-                    chunk.tasks, job.request.timeout,
-                    chunk.traceparent, "pool")
-                outcomes = traced["outcomes"]
-                telemetry = traced["telemetry"]
-            else:
-                outcomes = await self._loop.run_in_executor(
-                    self._pool, execute_chunk_by_ref, job.exec_ref,
-                    chunk.tasks, job.request.timeout)
+            executed = await self._loop.run_in_executor(
+                self._pool, execute_chunk_by_ref, job.exec_ref,
+                chunk.tasks, job.request.timeout, chunk.traceparent,
+                "pool")
         except Exception as exc:
             logger.exception("local pool failed on chunk %s",
                              chunk.chunk_id)
@@ -838,18 +757,13 @@ class CampaignService:
             if self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._make_pool()
-            outcomes = [
-                {"index": index, "attempt": attempt,
-                 "status": "failed", "metrics": {},
-                 "error": f"worker pool failure: "
-                          f"{type(exc).__name__}: {exc}",
-                 "failure_kind": "retryable", "diagnostic": None,
-                 "metrics_telemetry": None, "wall_time": 0.0}
-                for index, _params, attempt in chunk.tasks]
+            executed = {"outcomes": CampaignExecution.lost(chunk.tasks,
+                                                           exc),
+                        "telemetry": None}
         finally:
             self._local_busy -= 1
-        self._complete_chunk(chunk, outcomes, worker="local",
-                             telemetry=telemetry)
+        self._complete_chunk(chunk, executed["outcomes"], worker="local",
+                             telemetry=executed["telemetry"])
 
     # ------------------------------------------------------------------
     # remote workers (pull-based work stealing)
@@ -859,17 +773,9 @@ class CampaignService:
         payload = request.json()
         worker = str(payload.get("worker") or "remote")
         chunk = self.queue.pop()
-        if chunk is None:
+        job = self._take(chunk, worker) if chunk is not None else None
+        if job is None:
             return Response.no_content()
-        job = self.jobs.get(chunk.job_id)
-        if job is None or job.terminal:
-            chunk.state = "done"
-            self.chunks.pop(chunk.chunk_id, None)
-            return Response.no_content()
-        chunk.lease(worker, self.lease_timeout)
-        self._mark_started(job)
-        self._record_queue_wait(job, chunk)
-        self.metrics.counter("service.chunks.leased").inc()
         self._observe_queue_depth()
         return Response.json({
             "job_id": job.id,
@@ -930,9 +836,8 @@ class CampaignService:
                 if hit is not None and hit.status == "ok":
                     for job_id, index in self._external.pop(key, []):
                         job = self.jobs.get(job_id)
-                        if job is not None and not job.terminal:
-                            self._finalize_from_record(
-                                job, index, hit, source="cached")
+                        if job is not None:
+                            self._adopt(job, index, hit, "cached")
                     continue
                 if self.store.claimed_elsewhere(key, self.owner):
                     continue  # still being computed elsewhere
@@ -946,7 +851,7 @@ class CampaignService:
         live = [(job_id, index) for job_id, index in waiters
                 if (job := self.jobs.get(job_id)) is not None
                 and not job.terminal
-                and job.records[index].status == "pending"]
+                and job.execution.records[index].status == "pending"]
         if not live:
             return
         job_id, index = live[0]
@@ -956,15 +861,7 @@ class CampaignService:
         self._leader[key] = (job_id, index)
         if len(live) > 1:
             self._followers.setdefault(key, []).extend(live[1:])
-        chunk = Chunk(chunk_id=job.next_chunk_id(), job_id=job_id,
-                      tenant=job.request.tenant,
-                      priority=job.request.priority,
-                      tasks=[(index, job.records[index].params, 1)],
-                      created_wall=time.time())
-        self._trace_chunk(job, chunk)
-        self.chunks[chunk.chunk_id] = chunk
-        self.queue.push(chunk, force=True)
-        self._wakeup()
+        self._push_chunk(job, [job.execution.task(index)])
 
     # ------------------------------------------------------------------
     # status / stream / results / cancel
@@ -1072,7 +969,7 @@ class CampaignService:
 
     def _results_view(self, job: Job) -> CampaignResults:
         return CampaignResults(
-            [record for record in job.records
+            [record for record in job.execution.records
              if record.status != "pending"])
 
     async def _h_results(self, request: Request,
@@ -1105,7 +1002,7 @@ class CampaignService:
         job = self._job_or_404(job_id)
         merged: Dict[str, Dict[str, float]] = {}
         points = 0
-        for record in job.records:
+        for record in job.execution.records:
             snapshot = record.metrics_telemetry
             if not snapshot:
                 continue

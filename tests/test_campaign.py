@@ -10,6 +10,7 @@ and the ``python -m repro.campaign`` CLI.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -67,8 +68,18 @@ def crashing_run(params):
 
 
 def slow_run(params):
-    time.sleep(params.get("sleep", 5.0))
+    time.sleep(params.get("sleep", 5.0))  # verify: allow[CODE002]
     return {"slept": params.get("sleep", 5.0)}
+
+
+def dying_run(params):
+    if params["x"] == 1:
+        os._exit(3)  # the worker process dies mid-chunk
+    return {"x": float(params["x"])}
+
+
+def noisy_run(params):
+    return {"y": random.random()}
 
 
 def busy_run(params):
@@ -272,6 +283,44 @@ def test_per_run_timeout():
     assert results[0].status == "failed"
     assert "RunTimeout" in results[0].error
     assert results[1].status == "ok"
+
+
+def test_worker_process_death_does_not_lose_the_campaign(tmp_path):
+    campaign = Campaign(name="dying", space=Sweep({"x": [0, 1, 2, 3]}),
+                        run=dying_run, root_seed=0)
+    runner = CampaignRunner(campaign, workers=2, retries=1,
+                            chunk_size=1, use_cache=False,
+                            out_dir=tmp_path)
+    results = runner.run()
+    # every point is settled; the pool breakage may fail others too
+    assert all(r.status in ("ok", "failed") for r in results)
+    record = results[1]
+    assert record.status == "failed"
+    assert record.failure_kind == "retryable"
+    assert record.attempts == 2
+    assert "worker pool failure" in record.error
+    assert (tmp_path / "records.jsonl").is_file()
+    diagnostic = json.loads(
+        (tmp_path / "failures" / "run_00001.diagnostic.json")
+        .read_text())
+    assert diagnostic["attempts"] == 2
+
+
+def test_run_campaign_is_linted_before_dispatch(tmp_path):
+    campaign = Campaign(name="noisy-run", space=Sweep({"x": [0, 1, 2]}),
+                        run=noisy_run, root_seed=0)
+    runner = CampaignRunner(campaign, use_cache=False, out_dir=tmp_path)
+    results = runner.run()
+    assert [(r.status, r.failure_kind) for r in results] \
+        == [("failed", "static")] * 3
+    assert runner.stats["static"] == 3
+    assert runner.stats["executed"] == 0
+    diagnostic = json.loads(
+        (tmp_path / "failures" / "run_00002.diagnostic.json")
+        .read_text())
+    assert diagnostic["failure_kind"] == "static"
+    assert "CODE001" in {d["rule"] for d in
+                         diagnostic["verification"]["diagnostics"]}
 
 
 # ---------------------------------------------------------------------------

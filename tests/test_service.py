@@ -221,7 +221,7 @@ def test_execute_chunk_by_ref_runs_points():
 
     records = plan_records(campaign)
     tasks = [(r.index, r.params, 1) for r in records[:3]]
-    outcomes = execute_chunk_by_ref(ref("quick"), tasks, None)
+    outcomes = execute_chunk_by_ref(ref("quick"), tasks, None)["outcomes"]
     assert [o["index"] for o in outcomes] == [0, 1, 2]
     for outcome, record in zip(outcomes, records):
         assert outcome["status"] == "ok"
@@ -465,6 +465,60 @@ def test_retries_exhausted_marks_point_failed(tmp_path, monkeypatch):
                    for record in records)
 
 
+def _failure_artifacts(directory):
+    """``{file name: the diagnostic fields every executor must agree
+    on}`` for one ``failures/`` directory."""
+    return {
+        path.name: {key: json.loads(path.read_text())[key]
+                    for key in ("failure_kind", "params", "attempts",
+                                "message")}
+        for path in sorted(Path(directory).iterdir())}
+
+
+def test_failure_artifacts_match_across_executors(tmp_path,
+                                                  monkeypatch):
+    # retries=0: both flaky points fail once, finally
+    markers = tmp_path / "markers-runner"
+    markers.mkdir()
+    monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(markers))
+    CampaignRunner(resolve_spec_ref(ref("flaky")), retries=0,
+                   use_cache=False, out_dir=tmp_path / "runner").run()
+    expected = _failure_artifacts(tmp_path / "runner" / "failures")
+    assert sorted(expected) == ["run_00000.diagnostic.json",
+                                "run_00001.diagnostic.json"]
+    assert expected["run_00000.diagnostic.json"]["message"] \
+        == "RuntimeError: transient flake"
+
+    # the service's local pool
+    markers = tmp_path / "markers-pool"
+    markers.mkdir()
+    monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(markers))
+    with serve(workers=1, out_dir=tmp_path / "pool") as (_, client):
+        job = client.submit(ref("flaky"), retries=0)
+        assert client.wait(job["id"], timeout=15)["failed"] == 2
+    assert _failure_artifacts(
+        tmp_path / "pool" / "jobs" / job["id"] / "failures") == expected
+
+    # a pull-worker; the second job joins the first's points in flight
+    markers = tmp_path / "markers-worker"
+    markers.mkdir()
+    monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(markers))
+    with serve(workers=0, out_dir=tmp_path / "remote") as (handle,
+                                                           client):
+        leader = client.submit(ref("flaky"), retries=0)
+        follower = client.submit(ref("flaky"), retries=0)
+        assert run_worker(handle.url, worker_id="w", poll=0.05,
+                          max_chunks=1) == 1
+        assert client.wait(leader["id"], timeout=15)["failed"] == 2
+        done = client.wait(follower["id"], timeout=15)
+        assert done["failed"] == 2
+        assert done["deduped"] == 2
+    for job in (leader, follower):
+        assert _failure_artifacts(
+            tmp_path / "remote" / "jobs" / job["id"] / "failures") \
+            == expected
+
+
 # ---------------------------------------------------------------------------
 # Remote worker plane
 # ---------------------------------------------------------------------------
@@ -508,7 +562,7 @@ def test_duplicate_chunk_completion_is_dropped():
         lease = client.lease("w1")
         outcomes = execute_chunk_by_ref(
             lease["spec"], [tuple(task) for task in lease["tasks"]],
-            lease.get("timeout"))
+            lease.get("timeout"))["outcomes"]
         first = client.complete("w1", lease["job_id"],
                                 lease["chunk_id"], outcomes)
         assert first["accepted"]
@@ -521,6 +575,32 @@ def test_duplicate_chunk_completion_is_dropped():
 
         # idle queue → 204 → None
         assert client.lease("w1") is None
+
+
+def test_completion_ignores_outcomes_for_other_tasks():
+    with serve(workers=0) as (handle, client):
+        job = client.submit(ref("quick"), chunk_size=4)
+        lease = client.lease("w1")
+        assert [task[0] for task in lease["tasks"]] == [0, 1, 2, 3]
+        outcomes = execute_chunk_by_ref(
+            lease["spec"], [tuple(task) for task in lease["tasks"]],
+            lease.get("timeout"))["outcomes"]
+        forged = [dict(outcomes[0], index=4, metrics={"forged": 1.0}),
+                  dict(outcomes[0], index="x", metrics={"forged": 2.0})]
+        assert client.complete("w1", lease["job_id"], lease["chunk_id"],
+                               outcomes + forged)["accepted"]
+        status = client.status(job["id"])
+        assert status["completed"] == 4
+        assert status["executed"] == 4
+        # index 4 was never finalized: its own chunk is still leasable
+        assert run_worker(handle.url, worker_id="real", poll=0.05,
+                          max_chunks=1) == 1
+        done = client.wait(job["id"], timeout=10)
+        assert done["state"] == "done"
+        assert done["executed"] == 8
+        results = client.results(job["id"])
+        assert results["fingerprint"] == serial_fingerprint("quick")
+        assert "forged" not in results["metrics"]
 
 
 def test_service_metrics_expose_queue_and_job_timings(tmp_path):
@@ -703,7 +783,7 @@ class TestFleetObservability:
             outcomes = execute_chunk_by_ref(
                 lease["spec"],
                 [tuple(task) for task in lease["tasks"]],
-                lease.get("timeout"))
+                lease.get("timeout"))["outcomes"]
             client.complete("w1", lease["job_id"],
                             lease["chunk_id"], outcomes)
             client.wait(job["id"], timeout=10)
