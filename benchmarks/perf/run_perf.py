@@ -4,8 +4,9 @@ For each model in :mod:`models` the harness runs the same simulation
 twice — once with ``tdf_block=False`` (the scalar reference engine) and
 once with block mode on — checks the recorded output streams are
 bit-identical, and reports samples/sec plus the block/scalar speedup.
-A third short profiled run (``Simulator.enable_profiling``) attributes
-wall-clock time to individual modules.
+A third short run under ``Simulator(observe="metrics")`` attributes
+wall-clock time to individual modules through the
+``tdf.module.seconds[module=...]`` telemetry counters.
 
 Usage::
 
@@ -62,9 +63,8 @@ def run_model(builder, duration_us: float, *, block: bool,
         tdf_block=block,
         tdf_batch=BLOCK_BATCH if block else 1,
         tdf_compact_every=BLOCK_COMPACT,
+        observe="metrics" if profile else None,
     )
-    if profile:
-        sim.enable_profiling()
     sim.elaborate()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -107,12 +107,14 @@ def measure(name: str, builder, duration_us: float,
 
 
 def profile_model(builder, duration_us: float, top_n: int = 8) -> dict:
-    """Per-module seconds from a short profiled block run."""
+    """Per-module seconds (``tdf.module.seconds[module=...]``) from a
+    short block run with a metrics-only telemetry hub."""
     _wall, _cpu, _t, _x, sim = run_model(builder, duration_us,
                                          block=True, profile=True)
-    seconds: dict[str, float] = {}
-    for cluster in sim.profile()["clusters"].values():
-        seconds.update(cluster["module_seconds"])
+    prefix, suffix = "tdf.module.seconds[module=", "]"
+    seconds = {key[len(prefix):-len(suffix)]: value
+               for key, value in sim.telemetry.metrics.scalars().items()
+               if key.startswith(prefix)}
     ranked = sorted(seconds.items(), key=lambda kv: -kv[1])[:top_n]
     return {module: round(secs, 6) for module, secs in ranked}
 

@@ -122,11 +122,11 @@ def _execute_point(target: RunTarget, params: Dict[str, Any],
                    hub: Optional[Telemetry] = None) -> Dict[str, Any]:
     """Run one campaign point; never raises.
 
-    When a :class:`~repro.observe.Telemetry` ``hub`` is given,
-    build-style points record their simulation spans into it (the hub
-    is installed on the freshly built simulator unless the build
-    already attached one), so an executor's per-point kernel activity
-    lands on the campaign/job trace.
+    When a :class:`~repro.observe.Telemetry` ``hub`` is given and the
+    build attached none, a build-style point's simulator records into
+    ``hub.fork()``: its spans land on the campaign/job trace, its
+    ``metrics_telemetry`` covers this point alone, and its registry is
+    merged into the hub afterwards so campaign totals add up.
     """
     run, build, duration, metrics_fn, checkpoint_every = target
     start = time.perf_counter()
@@ -135,6 +135,7 @@ def _execute_point(target: RunTarget, params: Dict[str, Any],
     diagnostic = None
     checkpoint = None
     telemetry_snapshot = None
+    point_hub = None
     try:
         with _deadline(timeout):
             if run is not None:
@@ -144,8 +145,8 @@ def _execute_point(target: RunTarget, params: Dict[str, Any],
                 if hub is not None \
                         and getattr(simulator, "telemetry",
                                     None) is None:
-                    simulator.telemetry = hub
-                    simulator.kernel.install_telemetry(hub)
+                    point_hub = hub.fork()
+                    simulator.attach_telemetry(point_hub)
                 if checkpoint_every is not None:
                     simulator.run(duration,
                                   checkpoint_every=checkpoint_every)
@@ -181,6 +182,8 @@ def _execute_point(target: RunTarget, params: Dict[str, Any],
             latest = manager.latest()
             if latest is not None:
                 checkpoint = latest.to_bytes()
+    if point_hub is not None:
+        hub.metrics.merge(point_hub.metrics)
     return {
         "status": status,
         "metrics": metrics,

@@ -61,7 +61,8 @@ def load_module_from_path(path, module_name: Optional[str] = None
         spec.loader.exec_module(module)
     except Exception as exc:
         sys.modules.pop(name, None)
-        raise ResolutionError(f"error importing {path}: {exc}") from exc
+        raise ResolutionError(f"error importing {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     return module
 
 

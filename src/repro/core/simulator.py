@@ -34,13 +34,7 @@ class Simulator:
         #: ``None``/``False`` (off), ``True``/``"on"`` (spans+metrics),
         #: ``"metrics"`` (registry only), ``"fine"`` (per-delta /
         #: per-advance spans) or a ready :class:`repro.observe.Telemetry`.
-        if observe is None or observe is False:
-            self.telemetry = None
-        else:
-            from ..observe import Telemetry
-
-            self.telemetry = Telemetry.coerce(observe)
-            self.kernel.install_telemetry(self.telemetry)
+        self.attach_telemetry(observe)
         if verify not in ("off", "warn", "error"):
             raise ValueError(
                 f"verify must be 'off', 'warn', or 'error'; got "
@@ -63,7 +57,6 @@ class Simulator:
         self.tdf_block = tdf_block
         self.tdf_batch = tdf_batch
         self.tdf_compact_every = tdf_compact_every
-        self._profiling = False
         #: set by run(checkpoint_every=...); reusable for postmortems.
         self.checkpoint_manager = None
 
@@ -276,48 +269,25 @@ class Simulator:
         self.kernel.now_ticks = int(payload["now_ticks"])
         return self.kernel.now
 
-    # -- profiling -----------------------------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Record per-module wall-clock time inside every TDF cluster.
-
-        Call before or after elaboration but before :meth:`run`;
-        results come back through :meth:`profile`.
-        """
-        self._profiling = True
-        registry = getattr(self, "_tdf_registry", None)
-        if registry is not None:
-            for cluster in registry.clusters:
-                cluster.enable_profiling()
-
-    def profile(self) -> dict:
-        """Per-cluster/per-module time accounting (see
-        :meth:`enable_profiling`).
-
-        Returns ``{"clusters": {name: {"periods", "module_seconds",
-        "module_activations", "block_activations", "total_seconds"}},
-        "total_seconds": float}`` — wall-clock seconds spent inside
-        module activations, keyed by module ``full_name``.
-        """
-        registry = getattr(self, "_tdf_registry", None)
-        clusters = registry.clusters if registry is not None else []
-        report: dict = {"clusters": {}, "total_seconds": 0.0}
-        for cluster in clusters:
-            prof = cluster._profile
-            if prof is None:
-                continue
-            total = sum(prof["module_seconds"].values())
-            report["clusters"][cluster.name] = {
-                "periods": prof["periods"],
-                "module_seconds": dict(prof["module_seconds"]),
-                "module_activations": dict(prof["module_activations"]),
-                "block_activations": dict(prof["block_activations"]),
-                "total_seconds": total,
-            }
-            report["total_seconds"] += total
-        return report
-
     # -- telemetry (see repro.observe) ---------------------------------------
+
+    def attach_telemetry(self, observe) -> None:
+        """Install the telemetry hub ``observe`` (the constructor's
+        ``observe=`` values) on the simulator and its kernel.
+
+        The TDF clusters bind their metrics at elaboration, so the hub
+        must be attached before :meth:`elaborate`.
+        """
+        if self._elaborated:
+            raise SimulationError(
+                "attach_telemetry must precede elaboration")
+        telemetry = None
+        if observe is not None and observe is not False:
+            from ..observe import Telemetry
+
+            telemetry = Telemetry.coerce(observe)
+        self.telemetry = telemetry
+        self.kernel.install_telemetry(telemetry)
 
     def metrics_snapshot(self) -> dict:
         """Flat ``{metric_key: number}`` harvest of the engine's state.
@@ -344,13 +314,6 @@ class Simulator:
             total_periods += cluster.period_count
             for module in cluster.modules:
                 total_activations += module.activation_count
-            profile = cluster._profile
-            if profile:
-                # enable_profiling() shim: fold its per-module wall
-                # clock into the unified dump.
-                for name, seconds in profile["module_seconds"].items():
-                    snap[f"tdf.module_seconds[module={name}]"] = \
-                        float(seconds)
         snap["tdf.periods"] = float(total_periods)
         snap["tdf.activations"] = float(total_activations)
 

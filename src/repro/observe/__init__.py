@@ -21,15 +21,16 @@ instance).  When no hub is installed the instrumented layers skip
 their guards entirely — the disabled path costs one ``is None`` test
 per cluster wake-up, nothing per sample.
 
-Pre-existing ad-hoc channels — ``Simulator.enable_profiling``,
-``ResilientTransientSolver.tier_log``, ``HealthMonitor`` statistics —
-remain as compatibility shims and additionally feed this event bus
-when a hub is present.
+Per-module TDF wall clock is the ``tdf.module.seconds[module=…]``
+counter family, recorded at every detail level.  Pre-existing ad-hoc
+channels — ``ResilientTransientSolver.tier_log``, ``HealthMonitor``
+statistics — additionally feed this event bus when a hub is present.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -129,6 +130,15 @@ class Telemetry:
     @property
     def fine(self) -> bool:
         return self.detail == "fine" and self.tracer.enabled
+
+    def fork(self) -> "Telemetry":
+        """A hub sharing this hub's tracer and detail level but with a
+        fresh, empty registry: one campaign point records into it, so
+        its metrics describe that point alone, while its spans land on
+        the shared trace.  Fold it back with ``metrics.merge``."""
+        forked = copy.copy(self)
+        forked.metrics = MetricsRegistry()
+        return forked
 
     # -- construction shorthand ---------------------------------------------
 

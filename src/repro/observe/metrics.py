@@ -22,6 +22,7 @@ re-resolving names per event.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -216,6 +217,31 @@ class MetricsRegistry:
                 metric.set(value)
             elif isinstance(metric, Counter):
                 metric.value = float(value)
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` into this registry: counters add, gauges take
+        ``other``'s value, histograms add bucket by bucket (both sides
+        must share bucket bounds)."""
+        for key, incoming in other._metrics.items():
+            metric = self._metrics.get(key)
+            if metric is None:
+                self._metrics[key] = copy.deepcopy(incoming)
+            elif type(metric) is not type(incoming) or (
+                    isinstance(metric, Histogram)
+                    and metric.bounds != incoming.bounds):
+                raise TypeError(f"cannot merge metric {key!r}: kind "
+                                "or bucket bounds differ")
+            elif isinstance(metric, Counter):
+                metric.value += incoming.value
+            elif isinstance(metric, Gauge):
+                metric.value = incoming.value
+            else:
+                metric.buckets = [a + b for a, b in zip(
+                    metric.buckets, incoming.buckets)]
+                metric.count += incoming.count
+                metric.total += incoming.total
+                metric.minimum = min(metric.minimum, incoming.minimum)
+                metric.maximum = max(metric.maximum, incoming.maximum)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dump: ``{"counters": {...}, "gauges": {...},

@@ -66,8 +66,6 @@ class TdfRegistry:
             )
             cluster.elaborate()
             cluster.install(simulator.kernel)
-            if getattr(simulator, "_profiling", False):
-                cluster.enable_profiling()
             self.clusters.append(cluster)
 
 
@@ -128,6 +126,16 @@ class TdfCluster:
                 "tdf.buffer_occupancy", cluster=name)
             self._m_sync_in = metrics.counter("sync.de_to_tdf.samples")
             self._m_sync_out = metrics.counter("sync.tdf_to_de.samples")
+            #: per-module wall clock and activation counts, keyed by
+            #: module: (seconds, activations, block_activations).
+            self._m_modules = {
+                module: tuple(
+                    metrics.counter(f"tdf.module.{kind}",
+                                    module=module.full_name())
+                    for kind in ("seconds", "activations",
+                                 "block_activations"))
+                for module in modules
+            }
         self.period: Optional[SimTime] = None
         self.repetitions: dict[int, int] = {}
         self.schedule: list[TdfModule] = []
@@ -141,9 +149,6 @@ class TdfCluster:
         self._entry_cache: dict[int, list] = {}
         #: decided during elaborate(): may this cluster batch periods?
         self._batch_safe = False
-        #: per-module wall-clock accounting, enabled by
-        #: Simulator.enable_profiling().
-        self._profile: Optional[dict] = None
         #: the kernel this cluster was installed on (set by install()).
         self._kernel = None
         self._signals: list = []
@@ -277,7 +282,7 @@ class TdfCluster:
             converter.sample()
         base = self.period_count * self.period.ticks
         self.epoch_ticks = 0  # local time is measured from t=0
-        if self._profile is None:
+        if telemetry is None:
             for module, count, use_block in self._entries_for(n):
                 if use_block:
                     module._activate_block(count)
@@ -285,7 +290,20 @@ class TdfCluster:
                     for _ in range(count):
                         module._activate()
         else:
-            self._execute_profiled(n)
+            clock = _time.perf_counter
+            counters = self._m_modules
+            for module, count, use_block in self._entries_for(n):
+                seconds, activations, blocks = counters[module]
+                entry_start = clock()
+                if use_block:
+                    module._activate_block(count)
+                else:
+                    for _ in range(count):
+                        module._activate()
+                seconds.inc(clock() - entry_start)
+                activations.inc(count)
+                if use_block:
+                    blocks.inc(count)
         if telemetry is not None and self._de_outputs:
             self._m_sync_out.inc(
                 sum(len(c._queue) for c in self._de_outputs))
@@ -316,40 +334,6 @@ class TdfCluster:
             self._next_compact = self.compact_every * (
                 self.period_count // self.compact_every + 1
             )
-
-    def _execute_profiled(self, n: int) -> None:
-        prof = self._profile
-        for module, count, use_block in self._entries_for(n):
-            name = module.full_name()
-            start = _time.perf_counter()
-            if use_block:
-                module._activate_block(count)
-            else:
-                for _ in range(count):
-                    module._activate()
-            elapsed = _time.perf_counter() - start
-            prof["module_seconds"][name] = (
-                prof["module_seconds"].get(name, 0.0) + elapsed
-            )
-            prof["module_activations"][name] = (
-                prof["module_activations"].get(name, 0) + count
-            )
-            if use_block:
-                prof["block_activations"][name] = (
-                    prof["block_activations"].get(name, 0) + count
-                )
-        prof["periods"] = prof.get("periods", 0) + n
-
-    def enable_profiling(self) -> dict:
-        """Turn on per-module wall-clock accounting; returns the dict."""
-        if self._profile is None:
-            self._profile = {
-                "module_seconds": {},
-                "module_activations": {},
-                "block_activations": {},
-                "periods": 0,
-            }
-        return self._profile
 
     def _compact(self) -> None:
         if self.telemetry is not None:

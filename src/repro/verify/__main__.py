@@ -22,7 +22,6 @@ under ``--strict``), 1 when findings gate, 2 on usage/load failures.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import inspect
 import json
 import sys
@@ -30,6 +29,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ..core.module import Module
+from ..core.resolve import ResolutionError, load_module_from_path
 from ..eln.network import Network
 from ..sdf.graph import SdfGraph
 from .diagnostics import SCHEMA_VERSION, VerificationReport
@@ -48,21 +48,11 @@ class TargetError(SystemExit):
 
 
 def _load_file(path: Path):
-    if not path.exists():
-        raise TargetError(f"model file not found: {path}")
-    module_name = f"repro_verify_target_{path.stem}"
-    spec = importlib.util.spec_from_file_location(module_name,
-                                                 str(path))
-    if spec is None or spec.loader is None:
-        raise TargetError(f"cannot import model file: {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[module_name] = module
     try:
-        spec.loader.exec_module(module)
-    except Exception as exc:
-        raise TargetError(f"error importing {path}: "
-                          f"{type(exc).__name__}: {exc}")
-    return module
+        return load_module_from_path(
+            path, module_name=f"repro_verify_target_{path.stem}")
+    except ResolutionError as exc:
+        raise TargetError(str(exc)) from exc
 
 
 def _instantiate(obj, label: str):

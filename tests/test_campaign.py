@@ -493,6 +493,32 @@ def test_build_factory_campaign():
                                                       rel=0.01)
 
 
+def test_point_telemetry_covers_its_own_point():
+    # Each point's metrics_telemetry describes that point alone; the
+    # runner's hub still carries the campaign total.
+    from repro.core import SimTime
+
+    campaign = Campaign(
+        name="tone", space=Sweep({"freq": [50.0, 100.0, 150.0, 200.0]}),
+        build=_build_tone_sim, duration=SimTime(20, "ms"),
+        seed_key=None)
+    runner = CampaignRunner(campaign, workers=1, use_cache=False,
+                            observe=True, verify="off")
+    results = runner.run()
+    assert all(r.status == "ok" for r in results)
+    run_seconds = [r.metrics_telemetry["simulate.run.seconds"]
+                   for r in results]
+    for record, seconds in zip(results, run_seconds):
+        assert 0 < seconds <= record.wall_time
+        activations = record.metrics_telemetry[
+            "tdf.module.activations[module=top.sink]"]
+        assert activations == record.metrics["n"]
+    total = runner.telemetry.metrics.counter("simulate.run.seconds")
+    assert total.value == pytest.approx(sum(run_seconds))
+    # per-point spans still land on the campaign trace
+    assert len(runner.telemetry.tracer.spans_named("simulate.run")) == 4
+
+
 # ---------------------------------------------------------------------------
 # concurrent cache writers and torn-line-free JSONL appends
 # (regression tests for the service-grade hardening of the cache)

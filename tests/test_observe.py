@@ -225,6 +225,33 @@ class TestMetrics:
         assert registry.counter("c").value == 10.0
         assert registry.gauge("new.gauge").value == 4.0
 
+    def test_merge_adds_counters_and_histograms(self):
+        hub, point = MetricsRegistry(), MetricsRegistry()
+        hub.counter("c").inc(2)
+        hub.histogram("h").observe(1.0)
+        point.counter("c").inc(3)
+        point.counter("new", module="m").inc(4)
+        point.gauge("g").set(7)
+        point.histogram("h").observe(8.0)
+        hub.merge(point)
+        assert hub.counter("c").value == 5.0
+        assert hub.counter("new", module="m").value == 4.0
+        assert hub.gauge("g").value == 7.0
+        hist = hub.histogram("h")
+        assert (hist.count, hist.total) == (2, 9.0)
+        assert (hist.minimum, hist.maximum) == (1.0, 8.0)
+        assert sum(hist.buckets) == 2
+        # the merged-in registry is copied, not aliased
+        point.counter("new", module="m").inc()
+        assert hub.counter("new", module="m").value == 4.0
+
+    def test_merge_rejects_kind_mismatch(self):
+        hub, point = MetricsRegistry(), MetricsRegistry()
+        hub.counter("x")
+        point.gauge("x")
+        with pytest.raises(TypeError):
+            hub.merge(point)
+
     def test_find_non_finite(self):
         dump = {"gauges": {"ok": 1.0, "bad": float("nan")},
                 "histograms": {"h": {"sum": float("inf")}}}
@@ -339,6 +366,14 @@ class TestTelemetry:
         assert dump["counters"]["c"] == 1.0
         assert dump["gauges"]["x"] == 1.0
 
+    def test_fork_shares_tracer_not_registry(self):
+        hub = Telemetry(detail="fine")
+        forked = hub.fork()
+        assert forked.tracer is hub.tracer
+        assert forked.detail == "fine"
+        assert forked.metrics is not hub.metrics
+        assert len(forked.metrics) == 0
+
     def test_ambient_install_and_restore(self):
         from repro.observe import current
 
@@ -435,6 +470,69 @@ class TestSimulatorIntegration:
         simulator.run(ms(1))
         with pytest.raises(SimulationError):
             simulator.export_telemetry(tmp_path)
+
+
+class TestModuleAttribution:
+    """``tdf.module.{seconds,activations,block_activations}`` — the one
+    per-module attribution mechanism, recorded at every detail level."""
+
+    @staticmethod
+    def _run(observe, tdf_block=True):
+        simulator = Simulator(RcTop(), observe=observe,
+                              tdf_block=tdf_block)
+        simulator.run(ms(2))
+        return simulator
+
+    @staticmethod
+    def _tdf_modules(simulator):
+        return [module for cluster in simulator._tdf_registry.clusters
+                for module in cluster.modules]
+
+    def test_activations_match_module_counts(self):
+        simulator = self._run("metrics")
+        metrics = simulator.telemetry.metrics
+        for module in self._tdf_modules(simulator):
+            counter = metrics.get("tdf.module.activations",
+                                  module=module.full_name())
+            assert counter.value == module.activation_count > 0
+
+    @pytest.mark.parametrize("tdf_block", [True, False])
+    def test_block_activations(self, tdf_block):
+        simulator = self._run("metrics", tdf_block=tdf_block)
+        flat = simulator.telemetry.metrics.scalars()
+        blocks = []
+        for module in self._tdf_modules(simulator):
+            name = module.full_name()
+            block = flat[f"tdf.module.block_activations[module={name}]"]
+            assert block <= flat[f"tdf.module.activations[module={name}]"]
+            blocks.append(block)
+        if tdf_block:
+            assert max(blocks) > 0
+        else:
+            assert blocks == [0.0] * len(blocks)
+
+    def test_module_seconds_within_tdf_seconds(self):
+        simulator = self._run("metrics")
+        flat = simulator.telemetry.metrics.scalars()
+        module_seconds = [value for key, value in flat.items()
+                          if key.startswith("tdf.module.seconds[")]
+        assert len(module_seconds) == len(self._tdf_modules(simulator))
+        assert 0 < sum(module_seconds) <= flat["moc.tdf.seconds"]
+
+    @pytest.mark.parametrize("observe", ["metrics", True, "fine"])
+    def test_streams_bit_identical_to_unobserved(self, observe):
+        reference = self._run(None).top.sink.as_arrays()
+        observed = self._run(observe)
+        for ref, got in zip(reference, observed.top.sink.as_arrays()):
+            assert np.array_equal(ref, got)
+        assert observed.telemetry.metrics.get(
+            "tdf.module.seconds", module="top.rc") is not None
+
+    def test_snapshot_carries_the_family(self):
+        snap = self._run("metrics").metrics_snapshot()
+        assert snap["tdf.module.seconds[module=top.rc]"] > 0
+        assert not any(key.startswith("tdf.module_seconds")
+                       for key in snap)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +689,8 @@ class TestOverhead:
         cluster = simulator._tdf_registry.clusters[0]
         assert cluster.telemetry is None
         assert getattr(cluster, "_m_seconds", None) is None
+        # no per-module counter is bound either
+        assert getattr(cluster, "_m_modules", None) is None
 
     def test_enabled_overhead_within_documented_bound(self):
         # Documented bound (TUTORIAL §9 / ISSUE): normal-detail spans

@@ -929,6 +929,14 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cli_import_error_exits_two_and_unregisters(tmp_path, capsys):
+    model = tmp_path / "broken_import_model.py"
+    model.write_text("raise ValueError('bad model')\n")
+    assert verify_main([str(model)]) == 2
+    assert "ValueError: bad model" in capsys.readouterr().err
+    assert "repro_verify_target_broken_import_model" not in sys.modules
+
+
 def test_cli_bad_name_exits_two(tmp_path, capsys):
     model = tmp_path / "named2_model.py"
     model.write_text(CLEAN_MODEL)
