@@ -293,13 +293,14 @@ class Simulator:
         """Flat ``{metric_key: number}`` harvest of the engine's state.
 
         Works with or without an installed telemetry hub: kernel
-        counters, TDF cluster/module activation counts, embedded-solver
-        step statistics, resilience tier counts (zero-defaulted so the
-        keys are always present) and health-guard totals are read from
-        the live objects; live registry metrics (per-MoC wall time,
-        histograms as ``.count/.sum/.p95``) are merged in when
-        telemetry is enabled.  Campaign runs store this mapping on each
-        :class:`~repro.campaign.records.RunRecord`.
+        counters and TDF cluster/module activation counts are read from
+        the live objects, every embedded solver's
+        :meth:`~repro.ct.TransientSolver.counters` (step statistics,
+        resilience tiers, health-guard totals) are summed, zero-defaulted
+        so the keys are always present, and live registry metrics
+        (per-MoC wall time, histograms as ``.count/.sum/.p95``) are
+        merged in when telemetry is enabled.  Campaign runs store this
+        mapping on each :class:`~repro.campaign.records.RunRecord`.
         """
         snap: dict = {
             "kernel.delta_cycles": float(self.kernel.delta_count),
@@ -308,76 +309,28 @@ class Simulator:
         }
         registry = getattr(self, "_tdf_registry", None)
         clusters = registry.clusters if registry is not None else []
-        total_periods = 0
-        total_activations = 0
-        for cluster in clusters:
-            total_periods += cluster.period_count
-            for module in cluster.modules:
-                total_activations += module.activation_count
-        snap["tdf.periods"] = float(total_periods)
-        snap["tdf.activations"] = float(total_activations)
+        snap["tdf.periods"] = float(sum(c.period_count for c in clusters))
+        snap["tdf.activations"] = float(sum(
+            m.activation_count for c in clusters for m in c.modules))
 
+        from ..ct.solver_api import MODULE_COUNTERS, SUMMED_COUNTERS
         from ..sync.ct_modules import CtTdfModule
 
-        tiers = {"primary": 0.0, "halved": 0.0, "bdf": 0.0}
-        steps = rejected = iterations = 0.0
-        checked = violations = skipped = 0.0
-        factorizations = refactorizations = expm_hits = 0.0
+        totals = dict.fromkeys(SUMMED_COUNTERS, 0.0)
+        skipped = 0.0
         for module in self.top.walk():
-            if not isinstance(module, CtTdfModule):
-                continue
-            solver = module._solver
-            if solver is None:
+            if not isinstance(module, CtTdfModule) or module._solver is None:
                 continue
             name = module.full_name()
+            counters = module._solver.counters()
+            for key in MODULE_COUNTERS:
+                if key in counters:
+                    snap[f"{key}[module={name}]"] = float(counters[key])
+            for key in totals.keys() & counters.keys():
+                totals[key] += counters[key]
             skipped += module.skipped_activations
-            primary = getattr(solver, "primary", solver)
-            count = getattr(primary, "step_count", None)
-            if count is not None:
-                steps += count
-                snap[f"solver.steps[module={name}]"] = float(count)
-            count = getattr(primary, "rejected_count", None)
-            if count is not None:
-                rejected += count
-                snap[f"solver.rejected[module={name}]"] = float(count)
-            count = getattr(primary, "segment_count", None)
-            if count is not None:
-                snap[f"solver.segments[module={name}]"] = float(count)
-            for stepper_name in ("_be", "_trap"):
-                stepper = getattr(primary, stepper_name, None)
-                iterations += getattr(stepper, "newton_iterations", 0)
-            stepper = getattr(primary, "_stepper", None)
-            count = getattr(stepper, "factorizations", None)
-            if count is not None:
-                factorizations += count
-                snap[f"solver.factorizations[module={name}]"] = \
-                    float(count)
-                refactorizations += stepper.refactorizations
-                snap[f"solver.refactorizations[module={name}]"] = \
-                    float(stepper.refactorizations)
-            count = getattr(stepper, "expm_cache_hits", None)
-            if count is not None:
-                expm_hits += count
-                snap[f"solver.expm_cache_hits[module={name}]"] = \
-                    float(count)
-            for tier, count in getattr(solver, "tier_counts",
-                                       {}).items():
-                tiers[tier] = tiers.get(tier, 0.0) + count
-            monitor = getattr(solver, "monitor", None)
-            if monitor is not None:
-                checked += monitor.checked_steps
-                violations += monitor.violations
-        snap["solver.steps"] = steps
-        snap["solver.rejected"] = rejected
-        snap["solver.newton_iterations"] = iterations
-        snap["solver.factorizations"] = factorizations
-        snap["solver.refactorizations"] = refactorizations
-        snap["solver.expm_cache_hits"] = expm_hits
+        snap.update(totals)
         snap["ct.skipped_activations"] = skipped
-        for tier, count in tiers.items():
-            snap[f"resilience.tier.{tier}"] = float(count)
-        snap["health.checked_steps"] = checked
-        snap["health.violations"] = violations
         if self.telemetry is not None:
             snap.update(self.telemetry.metrics.scalars())
         return snap

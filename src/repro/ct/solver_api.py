@@ -5,7 +5,8 @@ continuous-time simulators": an open architecture in which mature solvers
 can be plugged in and synchronized with the discrete-time MoCs.  The
 :class:`TransientSolver` protocol below is that architecture's contract —
 the synchronization layer drives *any* implementation purely through
-``initialize`` / ``advance_to``.  Three implementations are provided:
+its methods, most of which have defaults.  Three implementations are
+provided:
 
 * :class:`LinearTransientSolver` — the built-in fixed-step linear engine;
 * :class:`NonlinearTransientSolver` — the built-in adaptive Newton engine;
@@ -32,12 +33,35 @@ from .nonlinear import (
 )
 
 
+#: :meth:`TransientSolver.counters` keys ``metrics_snapshot`` reports per
+#: CT module (``key[module=<name>]``) and summed (zero when absent).
+MODULE_COUNTERS = ("solver.steps", "solver.rejected", "solver.segments",
+                   "solver.factorizations", "solver.refactorizations",
+                   "solver.expm_cache_hits")
+SUMMED_COUNTERS = ("solver.steps", "solver.rejected",
+                   "solver.newton_iterations", "solver.factorizations",
+                   "solver.refactorizations", "solver.expm_cache_hits",
+                   "resilience.tier.primary", "resilience.tier.halved",
+                   "resilience.tier.bdf", "health.checked_steps",
+                   "health.violations")
+
+
 class TransientSolver(abc.ABC):
-    """Contract every pluggable continuous-time solver fulfils."""
+    """Contract every pluggable continuous-time solver fulfils.
+
+    A plug-in must implement ``initialize``, ``advance_to``, ``time`` and
+    ``state``.  Every other method has a working default, so the
+    synchronization layer and ``Simulator.metrics_snapshot`` talk to a
+    solver only through this class and never through its attributes.
+    """
 
     #: optional :class:`~repro.resilience.health.HealthMonitor`; when
     #: installed, cooperating solvers report every accepted step.
     monitor = None
+
+    #: telemetry hub (:mod:`repro.observe`) installed by the embedding
+    #: module when telemetry is on; solvers may record into it.
+    telemetry = None
 
     @abc.abstractmethod
     def initialize(self, t0: float = 0.0,
@@ -57,6 +81,39 @@ class TransientSolver(abc.ABC):
     @abc.abstractmethod
     def state(self) -> np.ndarray:
         """Current solver state vector."""
+
+    # -- optional protocol, with defaults -----------------------------------
+
+    def snap_algebraic(self, h_reference: float) -> np.ndarray:
+        """Re-solve algebraic unknowns after an input discontinuity;
+        the default has none and returns the state."""
+        return self.state
+
+    def skip_to(self, t: float) -> None:
+        """Move the clock to ``t`` without integrating (activation
+        gating); the default re-initializes at ``t`` with the state."""
+        self.initialize(t, self.state)
+
+    def rebind(self, system) -> bool:
+        """Adopt a re-stamped system of the same layout in place; False
+        (the default) makes the module rebuild the solver instead."""
+        return False
+
+    def window_layout(self):
+        """``(rows, needs_b_now)`` if ``advance_window(times, h_values,
+        b_next, b_now)`` runs a block of sync points on source vectors
+        the module pre-evaluates from the ``(row, waveform, scale)``
+        rows, else None.  The module latches inputs per activation, so
+        the default declines rather than looping over ``advance_to``."""
+        return None
+
+    def counters(self) -> dict:
+        """Work counters keyed as in ``metrics_snapshot``; the default
+        reports an installed health monitor's totals."""
+        monitor = self.monitor
+        return {} if monitor is None else {
+            "health.checked_steps": monitor.checked_steps,
+            "health.violations": monitor.violations}
 
     # -- checkpoint support (see repro.resilience.checkpoint) ---------------
 
@@ -94,13 +151,14 @@ class LinearTransientSolver(TransientSolver):
         self._x = np.zeros(system.n)
         self.step_count = 0
 
-    def rebind(self, system: LinearDae) -> None:
+    def rebind(self, system: LinearDae) -> bool:
         """Adopt a re-assembled system (same unknown layout, new matrix
         values) without losing solver time/state — the cheap path for
         switch/topology events.  The stepper refactorizes once."""
         self.system = system
         if self._stepper is not None:
             self._stepper.rebind(system)
+        return True
 
     def initialize(self, t0: float = 0.0, x0=None) -> np.ndarray:
         self._t = t0
@@ -146,6 +204,16 @@ class LinearTransientSolver(TransientSolver):
         self._x = x
         return x
 
+    def window_layout(self):
+        """The assembled source rows, unless substepping (``h_internal``)
+        or a per-step health monitor needs ``advance_to``; the
+        trapezoidal and expm steppers also read ``b_now``."""
+        rows = getattr(self.system.source, "rows", None)
+        if rows is None or self.monitor is not None \
+                or self.h_internal is not None:
+            return None
+        return rows, self.variant == "expm" or self.method == "trapezoidal"
+
     def advance_window(self, times: np.ndarray, h_values: np.ndarray,
                        b_next: np.ndarray,
                        b_now: Optional[np.ndarray] = None) -> np.ndarray:
@@ -154,9 +222,8 @@ class LinearTransientSolver(TransientSolver):
 
         ``times[k]`` is the target time of step ``k``; ``h_values[k]``
         its step size (``times[k] - previous time``, one step per sync
-        point — callers must only use this when ``h_internal`` imposes
-        no substepping).  Bit-identical to ``advance_to(times[k])`` per
-        point.  Returns the per-step states, shape ``(len(times), n)``.
+        point).  Bit-identical to ``advance_to(times[k])`` per point.
+        Returns the per-step states, shape ``(len(times), n)``.
         """
         if self._stepper is None:
             self._stepper = make_stepper(self.system, float(h_values[0]),
@@ -175,6 +242,18 @@ class LinearTransientSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    def counters(self) -> dict:
+        counters = super().counters()
+        counters["solver.steps"] = self.step_count
+        stepper = self._stepper
+        if stepper is not None:
+            counters["solver.factorizations"] = stepper.factorizations
+            counters["solver.refactorizations"] = stepper.refactorizations
+            hits = getattr(stepper, "expm_cache_hits", None)
+            if hits is not None:
+                counters["solver.expm_cache_hits"] = hits
+        return counters
 
     def state_dict(self) -> dict:
         data = super().state_dict()
@@ -296,6 +375,14 @@ class NonlinearTransientSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    def counters(self) -> dict:
+        return dict(super().counters(), **{
+            "solver.steps": self.step_count,
+            "solver.rejected": self.rejected_count,
+            "solver.newton_iterations": (self._be.newton_iterations
+                                         + self._trap.newton_iterations),
+        })
 
     def state_dict(self) -> dict:
         data = super().state_dict()
@@ -452,6 +539,10 @@ class ScipyIvpSolver(TransientSolver):
     @property
     def state(self) -> np.ndarray:
         return self._x
+
+    def counters(self) -> dict:
+        return dict(super().counters(), **{
+            "solver.segments": self.segment_count})
 
     def state_dict(self) -> dict:
         data = super().state_dict()

@@ -94,7 +94,10 @@ __all__ = [
 
 #: span detail levels: ``"normal"`` records cluster wake-ups, kernel
 #: run segments, elaboration phases and resilience escalations;
-#: ``"fine"`` adds per-solver-advance and per-delta-cycle spans.
+#: ``"fine"`` adds per-delta-cycle spans and solver spans: one
+#: ``solver.advance`` per scalar advance and one
+#: ``solver.advance_window`` (``steps`` attribute) per windowed block,
+#: so ``fine`` times the same engine as the other levels.
 DETAIL_LEVELS = ("normal", "fine")
 
 

@@ -62,12 +62,10 @@ class ResilientTransientSolver(TransientSolver):
         is created when omitted.  It is also installed onto the primary
         (``primary.monitor``) so every *accepted internal step* is
         guarded, not just interval endpoints.
-    """
 
-    #: Telemetry hub (:mod:`repro.observe`), installed by the embedding
-    #: CtTdfModule; ``tier_counts``/``tier_log`` remain the shim API and
-    #: keep working with or without it.
-    telemetry = None
+    The wrapper keeps the protocol's default ``window_layout`` (None):
+    every interval must be checked and committed on its own.
+    """
 
     def __init__(self, primary: TransientSolver,
                  fallback: Optional[TransientSolver] = None,
@@ -76,7 +74,6 @@ class ResilientTransientSolver(TransientSolver):
                  bdf_method: str = "BDF",
                  bdf_rtol: float = 1e-8,
                  bdf_atol: float = 1e-10):
-        self.primary = primary
         self.max_halvings = max(0, int(max_halvings))
         self.monitor = monitor if monitor is not None else HealthMonitor()
         self.bdf_method = bdf_method
@@ -84,13 +81,8 @@ class ResilientTransientSolver(TransientSolver):
         self.bdf_atol = bdf_atol
         self.tier_counts = {"primary": 0, "halved": 0, "bdf": 0}
         self.tier_log: list[tuple[float, str]] = []
-        self._fallback = fallback
-        self._fallback_built = fallback is not None
         self._user_fallback = fallback
-        self._t_good = 0.0
-        self._x_good = np.asarray(primary.state, dtype=float).copy()
-        if hasattr(primary, "monitor"):
-            primary.monitor = self.monitor
+        self.replace_primary(primary)
 
     # -- TransientSolver contract -------------------------------------------
 
@@ -100,16 +92,39 @@ class ResilientTransientSolver(TransientSolver):
         self._commit(t0, x)
         return x
 
+    @property
+    def telemetry(self):
+        """Telemetry hub (:mod:`repro.observe`), shared with the monitor."""
+        return self.monitor.telemetry
+
+    @telemetry.setter
+    def telemetry(self, hub) -> None:
+        self.monitor.telemetry = hub
+
     def snap_algebraic(self, h_reference: float) -> np.ndarray:
-        """Delegate consistent re-initialization to the primary."""
-        snap = getattr(self.primary, "snap_algebraic", None)
-        if snap is None:
-            return np.asarray(self.primary.state, dtype=float)
-        x = snap(h_reference)
-        self.monitor.check_state(x, self.primary.time,
-                                 context="snap_algebraic")
-        self._commit(self.primary.time, x)
+        """Delegate to the primary.  A snap that keeps the state object
+        (the protocol default) has nothing new to check."""
+        before = self.primary.state
+        x = self.primary.snap_algebraic(h_reference)
+        if x is not before:
+            self.monitor.check_state(x, self.primary.time,
+                                     context="snap_algebraic")
+            self._commit(self.primary.time, x)
         return x
+
+    def skip_to(self, t: float) -> None:
+        """Gate the primary; the settled state needs no re-check."""
+        self.primary.skip_to(t)
+        self._t_good = float(t)
+
+    def rebind(self, system) -> bool:
+        """Re-stamp the primary in place.  The derived fallback caches
+        the old system's matrices, so it is dropped and rebuilt lazily,
+        and the pre-event trajectory stops being a restart point."""
+        if not self.primary.rebind(system):
+            return False
+        self._restart_from_primary()
+        return True
 
     def advance_to(self, t: float) -> np.ndarray:
         failures: list[tuple[str, BaseException]] = []
@@ -207,26 +222,15 @@ class ResilientTransientSolver(TransientSolver):
         self.primary = primary
         if hasattr(primary, "monitor"):
             primary.monitor = self.monitor
-        self._fallback = self._user_fallback
-        self._fallback_built = self._user_fallback is not None
-        self._t_good = float(primary.time)
-        self._x_good = np.asarray(primary.state, dtype=float).copy()
-
-    def note_system_change(self) -> None:
-        """Tell the wrapper the primary's system was re-stamped in place
-        (e.g. ``LinearTransientSolver.rebind`` after a switch event).
-
-        The derived fallback solver caches matrices from the old system,
-        so it is dropped and lazily rebuilt; the last-good state is
-        refreshed from the primary (the pre-event trajectory is no
-        longer a valid restart point for the new topology).
-        """
-        self._fallback = self._user_fallback
-        self._fallback_built = self._user_fallback is not None
-        self._t_good = float(self.primary.time)
-        self._x_good = np.asarray(self.primary.state, dtype=float).copy()
+        self._restart_from_primary()
 
     # -- observability ------------------------------------------------------
+
+    def counters(self) -> dict:
+        counters = dict(self.primary.counters(), **super().counters())
+        for tier, count in self.tier_counts.items():
+            counters[f"resilience.tier.{tier}"] = count
+        return counters
 
     def metrics(self) -> dict:
         """Per-tier interval counts plus guard statistics."""
@@ -259,6 +263,11 @@ class ResilientTransientSolver(TransientSolver):
     def _commit(self, t: float, x: np.ndarray) -> None:
         self._t_good = float(t)
         self._x_good = np.asarray(x, dtype=float).copy()
+
+    def _restart_from_primary(self) -> None:
+        self._fallback = self._user_fallback
+        self._fallback_built = self._user_fallback is not None
+        self._commit(self.primary.time, self.primary.state)
 
     def _record(self, tier: str, t: float) -> None:
         self.tier_counts[tier] += 1

@@ -23,7 +23,7 @@ a DC solve.
 from __future__ import annotations
 
 import time as _time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class CtTdfModule(TdfModule):
     #: MoC label used for telemetry (``moc.<moc>.seconds`` wall-time
     #: counters and solver span attributes).
     moc = "ct"
-
-    #: Allow the vectorized window fast path in ``processing_block``
-    #: (source vectors pre-evaluated for the whole block, one
-    #: ``advance_window`` call).  Bit-identical to scalar lockstep; set
-    #: False on subclasses to force the per-activation loop.
-    window_enabled = True
 
     def __init__(self, name: str, parent: Optional[Module] = None,
                  interpolate_inputs: bool = True,
@@ -115,11 +109,9 @@ class CtTdfModule(TdfModule):
         if telemetry is not None:
             self._m_solver_seconds = telemetry.metrics.counter(
                 f"moc.{self.moc}.seconds")
-            if hasattr(solver, "tier_counts"):
-                solver.telemetry = telemetry
-                solver.monitor.telemetry = telemetry
+            solver.telemetry = telemetry
         self._solver = solver
-        self._solver.initialize(0.0)
+        solver.initialize(0.0, self._initial_state())
 
     def solver_metrics(self) -> dict:
         """Fallback-tier and health statistics (resilient modules)."""
@@ -138,13 +130,10 @@ class CtTdfModule(TdfModule):
         self._emit(state)
 
     def processing_block(self, n: int) -> None:
-        """Batch the port I/O around the sequential solver lockstep.
-
-        The solver advance is inherently per-activation (each step
-        consumes the previous state), so the block path replays the
-        exact scalar per-activation core; the win is one buffer read /
-        write per port instead of ``n`` dispatches.
-        """
+        """Batch the port I/O around the solver lockstep: one
+        ``advance_window`` call when the solver offers a window layout,
+        else the exact scalar per-activation core, activation by
+        activation."""
         if self._solver is None:
             raise SynchronizationError(
                 f"{self.full_name()!r} activated before initialization"
@@ -167,11 +156,13 @@ class CtTdfModule(TdfModule):
             start = 1
         if start < n:
             states = None
-            rows = self._window_rows()
-            if rows is not None:
+            # Gating decides per activation, so it keeps the scalar loop.
+            layout = None if self.gating_enabled \
+                else self._solver.window_layout()
+            if layout is not None:
                 states = self._advance_window(
-                    times[start:], [col[start:] for col in columns], rows
-                )
+                    times[start:], [col[start:] for col in columns],
+                    *layout)
             if states is not None:
                 for slot, (_port, extract) in enumerate(self._outputs):
                     column = self._extract_column(extract, states)
@@ -209,57 +200,34 @@ class CtTdfModule(TdfModule):
             holder.push(value, t_prev, t_now)
         if self._should_skip(samples):
             self.skipped_activations += 1
-            # Time marches on even when gated (unwrap a resilient chain).
-            getattr(solver, "primary", solver)._t = t_now
-            if hasattr(solver, "_t_good"):
-                solver._t_good = t_now
+            solver.skip_to(t_now)
             return solver.state
         before = np.array(solver.state, copy=True)
-        seconds = self._m_solver_seconds
-        if seconds is None:
+        if self._m_solver_seconds is None:
             state = solver.advance_to(t_now)
         else:
             advance_start = _time.perf_counter()
             state = solver.advance_to(t_now)
-            advance_elapsed = _time.perf_counter() - advance_start
-            seconds.inc(advance_elapsed)
-            telemetry = self._telemetry
-            if telemetry.fine:
-                telemetry.tracer.complete(
-                    "solver.advance", advance_start, advance_elapsed,
-                    track=f"solver.{self.name}",
-                    attrs={"moc": self.moc, "t": t_now})
+            self._record_advance("solver.advance", advance_start,
+                                 t=t_now)
         self._last_delta = float(np.max(np.abs(state - before))) \
             if state.size else 0.0
         self._last_inputs = samples
         return state
 
+    def _record_advance(self, span: str, start: float, **attrs) -> None:
+        """Book a timed solver advance; ``fine`` telemetry traces it."""
+        elapsed = _time.perf_counter() - start
+        self._m_solver_seconds.inc(elapsed)
+        telemetry = self._telemetry
+        if telemetry.fine:
+            telemetry.tracer.complete(span, start, elapsed,
+                                      track=f"solver.{self.name}",
+                                      attrs={"moc": self.moc, **attrs})
+
     # -- window fast path --------------------------------------------------------
 
-    def _window_rows(self):
-        """The source-row layout if the window fast path applies.
-
-        The path requires the plain built-in linear solver with no
-        per-step observers: exactly one internal step per sync point
-        (``h_internal`` unset), no health monitor, no gating, and no
-        fine-grained telemetry (which traces each ``advance_to``).  The
-        returned value is the stamp-order ``(row, waveform, scale)``
-        layout attached by the network assemblers, or None.
-        """
-        if not self.window_enabled or self.gating_enabled:
-            return None
-        solver = self._solver
-        if not isinstance(solver, LinearTransientSolver):
-            return None
-        if solver.monitor is not None or solver.h_internal is not None:
-            return None
-        telemetry = self._telemetry
-        if telemetry is not None and telemetry.fine:
-            return None
-        source = getattr(solver.system, "source", None)
-        return getattr(source, "rows", None)
-
-    def _advance_window(self, times, columns, rows):
+    def _advance_window(self, times, columns, rows, need_now):
         """Advance one step per activation over a whole block at once.
 
         Pre-evaluates every source row for all activations (replaying
@@ -279,8 +247,6 @@ class CtTdfModule(TdfModule):
         # The scalar step evaluates sources at t_prev + h, which may
         # differ from times[k] by one ULP; replicate literally.
         te_next = t_prev + h_values
-        need_now = (solver.variant == "expm"
-                    or solver.method == "trapezoidal")
         # Per-holder sample columns at the step end/start instants,
         # matched to source rows by holder identity.
         holder_columns: dict[int, tuple] = {}
@@ -300,7 +266,8 @@ class CtTdfModule(TdfModule):
                 next_col = col
                 now_col = col
             holder_columns[id(holder)] = (next_col, now_col)
-        n = solver.system.n
+        x_before = np.array(solver.state, copy=True)
+        n = x_before.shape[0]
         b_next = np.zeros((steps, n))
         b_now = np.zeros((steps, n)) if need_now else None
         for row, waveform, scale in rows:
@@ -328,16 +295,15 @@ class CtTdfModule(TdfModule):
                 b_next[:, row] += scale * nxt
                 if need_now:
                     b_now[:, row] += scale * now
-        x_before = np.array(solver.state, copy=True)
-        seconds = self._m_solver_seconds
-        if seconds is None:
+        if self._m_solver_seconds is None:
             states = solver.advance_window(times, h_values,
                                            b_next, b_now)
         else:
             advance_start = _time.perf_counter()
             states = solver.advance_window(times, h_values,
                                            b_next, b_now)
-            seconds.inc(_time.perf_counter() - advance_start)
+            self._record_advance("solver.advance_window", advance_start,
+                                 t=float(times[-1]), steps=steps)
         # Leave holders, gating memory and delta exactly as the last
         # scalar activation would have (checkpoint parity).
         for (_port, holder), col in zip(self._inputs, columns):
@@ -361,9 +327,8 @@ class CtTdfModule(TdfModule):
 
     def _snap(self) -> None:
         """Re-solve algebraic unknowns against the current inputs."""
-        snap = getattr(self._solver, "snap_algebraic", None)
-        if snap is not None and self.timestep is not None:
-            snap(self.timestep.to_seconds())
+        if self.timestep is not None:
+            self._solver.snap_algebraic(self.timestep.to_seconds())
 
     def _should_skip(self, samples: tuple) -> bool:
         return (
@@ -379,14 +344,10 @@ class CtTdfModule(TdfModule):
     def _make_solver(self) -> TransientSolver:
         raise NotImplementedError
 
-    def _install_solver(self, primary: TransientSolver) -> None:
-        """Adopt a rebuilt primary, preserving a resilient wrapper."""
-        from ..resilience.fallback import ResilientTransientSolver
-
-        if isinstance(self._solver, ResilientTransientSolver):
-            self._solver.replace_primary(primary)
-        else:
-            self._solver = primary
+    def _initial_state(self) -> Optional[np.ndarray]:
+        """Consistent initial state handed to the solver's
+        ``initialize`` (None: the solver computes its own)."""
+        return None
 
     # -- checkpoint hooks -------------------------------------------------------
 
@@ -416,7 +377,37 @@ class CtTdfModule(TdfModule):
         self._last_delta = data["last_delta"]
 
 
-class ElnTdfModule(CtTdfModule):
+class _LinearCtModule(CtTdfModule):
+    """A :class:`LinearTransientSolver` with ``method``,
+    ``solver_variant`` and ``oversample`` internal steps per activation
+    (shared by the ELN and LSF modules)."""
+
+    def __init__(self, name, parent, method, oversample,
+                 interpolate_inputs, resilient, resilient_options,
+                 solver_variant):
+        super().__init__(name, parent, interpolate_inputs,
+                         resilient, resilient_options)
+        if solver_variant not in STEPPER_VARIANTS:
+            raise ElaborationError(
+                f"{name!r}: unknown solver_variant {solver_variant!r}; "
+                f"expected one of {sorted(STEPPER_VARIANTS)}"
+            )
+        if oversample < 1:
+            raise ElaborationError(f"{name!r}: oversample must be >= 1")
+        self.method = method
+        self.solver_variant = solver_variant
+        self.oversample = oversample
+
+    def _linear_solver(self, dae: LinearDae) -> LinearTransientSolver:
+        h_internal = None
+        if self.timestep is not None and self.oversample > 1:
+            h_internal = self.timestep.to_seconds() / self.oversample
+        return LinearTransientSolver(dae, h_internal=h_internal,
+                                     method=self.method,
+                                     variant=self.solver_variant)
+
+
+class ElnTdfModule(_LinearCtModule):
     """An electrical linear network embedded in the TDF world.
 
     Build the network first, then declare terminals::
@@ -444,21 +435,10 @@ class ElnTdfModule(CtTdfModule):
                  resilient: bool = False,
                  resilient_options: Optional[dict] = None,
                  solver_variant: str = "auto"):
-        super().__init__(name, parent, interpolate_inputs,
-                         resilient, resilient_options)
-        if solver_variant not in STEPPER_VARIANTS:
-            raise ElaborationError(
-                f"{name!r}: unknown solver_variant {solver_variant!r}; "
-                f"expected one of {sorted(STEPPER_VARIANTS)}"
-            )
+        super().__init__(name, parent, method, oversample,
+                         interpolate_inputs, resilient, resilient_options,
+                         solver_variant)
         self.network = network
-        self.method = method
-        self.solver_variant = solver_variant
-        if oversample < 1:
-            raise ElaborationError(
-                f"{name!r}: oversample must be >= 1"
-            )
-        self.oversample = oversample
         self._driven: dict[str, InputHolder] = {}
         self._switch_bindings: list[tuple[Switch, InPort]] = []
         self._switch_states: list[bool] = []
@@ -549,12 +529,7 @@ class ElnTdfModule(CtTdfModule):
     def _make_solver(self) -> TransientSolver:
         self._apply_switches()
         dae, self._index = self._assemble()
-        h_internal = None
-        if self.timestep is not None and self.oversample > 1:
-            h_internal = self.timestep.to_seconds() / self.oversample
-        return LinearTransientSolver(dae, h_internal=h_internal,
-                                     method=self.method,
-                                     variant=self.solver_variant)
+        return self._linear_solver(dae)
 
     def _apply_switches(self) -> bool:
         changed = False
@@ -571,24 +546,25 @@ class ElnTdfModule(CtTdfModule):
         """Re-assemble after a switch toggle and refactorize in place.
 
         A toggle is value-only (the unknown layout and stamp pattern
-        are unchanged), so the built-in linear solver keeps its time
+        are unchanged), so a solver that can ``rebind`` keeps its time
         and state and only the matrices/factorization are replaced —
-        one refactorization, not a solver rebuild.  Non-linear or
-        plug-in primaries fall back to the full rebuild.
+        one refactorization, not a solver rebuild.  A solver that
+        declines is rebuilt at the current time and state.
         """
-        primary = getattr(self._solver, "primary", self._solver)
-        if isinstance(primary, LinearTransientSolver):
-            dae, self._index = self._assemble()
-            primary.rebind(dae)
-            if primary is not self._solver:
-                note = getattr(self._solver, "note_system_change", None)
-                if note is not None:
-                    note()
+        dae, self._index = self._assemble()
+        if self._solver.rebind(dae):
+            return
+        old_state = np.array(self._solver.state, copy=True)
+        old_time = self._solver.time
+        self._install_solver(self._make_solver())
+        self._solver.initialize(old_time, x0=old_state)
+
+    def _install_solver(self, solver: TransientSolver) -> None:
+        """Adopt a rebuilt solver, keeping a resilient wrapper."""
+        if self.resilient:
+            self._solver.replace_primary(solver)
         else:
-            old_state = np.array(self._solver.state, copy=True)
-            old_time = self._solver.time
-            self._install_solver(self._make_solver())
-            self._solver.initialize(old_time, x0=old_state)
+            self._solver = solver
 
     def processing(self) -> None:
         if self._switch_bindings and self._apply_switches():
@@ -685,7 +661,7 @@ class _DeferredCurrent:
         return self.module.index.current(state, self.component)
 
 
-class LsfTdfModule(CtTdfModule):
+class LsfTdfModule(_LinearCtModule):
     """A linear signal-flow model embedded in the TDF world.
 
     Declared LSF input signals are overridden by TDF samples; declared
@@ -702,17 +678,10 @@ class LsfTdfModule(CtTdfModule):
                  resilient: bool = False,
                  resilient_options: Optional[dict] = None,
                  solver_variant: str = "auto"):
-        super().__init__(name, parent, interpolate_inputs,
-                         resilient, resilient_options)
-        if solver_variant not in STEPPER_VARIANTS:
-            raise ElaborationError(
-                f"{name!r}: unknown solver_variant {solver_variant!r}; "
-                f"expected one of {sorted(STEPPER_VARIANTS)}"
-            )
+        super().__init__(name, parent, method, max(1, oversample),
+                         interpolate_inputs, resilient, resilient_options,
+                         solver_variant)
         self.network = network
-        self.method = method
-        self.solver_variant = solver_variant
-        self.oversample = max(1, oversample)
         self._lsf_inputs: list[tuple[LsfSignal, InputHolder]] = []
         self._lsf_index = None
 
@@ -749,18 +718,10 @@ class LsfTdfModule(CtTdfModule):
 
     def _make_solver(self) -> TransientSolver:
         dae, self._lsf_index = self.network.assemble()
-        x0 = self._lsf_index.initial_state()
-        h_internal = None
-        if self.timestep is not None and self.oversample > 1:
-            h_internal = self.timestep.to_seconds() / self.oversample
-        solver = LinearTransientSolver(dae, h_internal=h_internal,
-                                       method=self.method,
-                                       variant=self.solver_variant)
-        solver.initialize(0.0, x0=x0)
-        # Re-initialization in CtTdfModule.initialize would discard x0;
-        # wrap initialize to preserve the consistent initial state.
-        solver.initialize = lambda t0=0.0, x0=x0: _reinit(solver, t0, x0)
-        return solver
+        return self._linear_solver(dae)
+
+    def _initial_state(self) -> np.ndarray:
+        return self._lsf_index.initial_state()
 
     @property
     def lsf_index(self):
@@ -777,12 +738,6 @@ class LsfTdfModule(CtTdfModule):
         return states[:, index.signal_index(extract.signal)]
 
 
-def _reinit(solver: LinearTransientSolver, t0: float, x0):
-    solver._t = t0
-    solver._x = np.asarray(x0, dtype=float)
-    return solver._x
-
-
 class _DeferredLsfSignal:
     def __init__(self, module: LsfTdfModule, signal: LsfSignal):
         self.module = module
@@ -792,26 +747,9 @@ class _DeferredLsfSignal:
         return float(state[self.module.lsf_index.signal_index(self.signal)])
 
 
-class NonlinearTdfModule(CtTdfModule):
-    """A nonlinear DAE embedded in the TDF world (Phase 2).
-
-    The system's source terms read :class:`InputHolder` objects created
-    by :meth:`add_input`; outputs are arbitrary state extractors.  The
-    adaptive solver takes variable internal steps between activations
-    (lockstep synchronization, no backtracking across the boundary).
-    """
-
-    def __init__(self, name: str, system: NonlinearSystem,
-                 parent: Optional[Module] = None,
-                 abstol: float = 1e-8, reltol: float = 1e-5,
-                 interpolate_inputs: bool = True,
-                 resilient: bool = False,
-                 resilient_options: Optional[dict] = None):
-        super().__init__(name, parent, interpolate_inputs,
-                         resilient, resilient_options)
-        self.system = system
-        self.abstol = abstol
-        self.reltol = reltol
+class _HolderCtModule(CtTdfModule):
+    """Inputs are :class:`InputHolder` objects the solver's model reads;
+    outputs are state extractors."""
 
     def add_input(self, name: str, initial: float = 0.0) -> InputHolder:
         """Create an input: returns the holder for the system to read;
@@ -832,6 +770,28 @@ class NonlinearTdfModule(CtTdfModule):
         self._outputs.append((port, extract))
         return port
 
+
+class NonlinearTdfModule(_HolderCtModule):
+    """A nonlinear DAE embedded in the TDF world (Phase 2).
+
+    The system's source terms read :class:`InputHolder` objects created
+    by :meth:`add_input`; outputs are arbitrary state extractors.  The
+    adaptive solver takes variable internal steps between activations
+    (lockstep synchronization, no backtracking across the boundary).
+    """
+
+    def __init__(self, name: str, system: NonlinearSystem,
+                 parent: Optional[Module] = None,
+                 abstol: float = 1e-8, reltol: float = 1e-5,
+                 interpolate_inputs: bool = True,
+                 resilient: bool = False,
+                 resilient_options: Optional[dict] = None):
+        super().__init__(name, parent, interpolate_inputs,
+                         resilient, resilient_options)
+        self.system = system
+        self.abstol = abstol
+        self.reltol = reltol
+
     def _make_solver(self) -> TransientSolver:
         return NonlinearTransientSolver(
             self.system, abstol=self.abstol, reltol=self.reltol,
@@ -841,11 +801,10 @@ class NonlinearTdfModule(CtTdfModule):
     def internal_steps(self) -> int:
         if self._solver is None:
             return 0
-        solver = getattr(self._solver, "primary", self._solver)
-        return solver.step_count
+        return int(self._solver.counters().get("solver.steps", 0))
 
 
-class SolverTdfModule(CtTdfModule):
+class SolverTdfModule(_HolderCtModule):
     """Embed *any* :class:`~repro.ct.TransientSolver` (the plug-in API).
 
     Inputs are holders the external solver's model reads; outputs are
@@ -861,23 +820,6 @@ class SolverTdfModule(CtTdfModule):
         super().__init__(name, parent, interpolate_inputs,
                          resilient, resilient_options)
         self._external_solver = solver
-
-    def add_input(self, name: str, initial: float = 0.0) -> InputHolder:
-        holder = InputHolder(initial, self._interpolate)
-        port = TdfIn(f"in_{name}")
-        port.initial_value = initial
-        port.module = self
-        setattr(self, f"in_{name}", port)
-        self._inputs.append((port, holder))
-        return holder
-
-    def add_output(self, name: str,
-                   extract: Callable[[np.ndarray], float]) -> TdfOut:
-        port = TdfOut(f"out_{name}")
-        port.module = self
-        setattr(self, f"out_{name}", port)
-        self._outputs.append((port, extract))
-        return port
 
     def _make_solver(self) -> TransientSolver:
         return self._external_solver

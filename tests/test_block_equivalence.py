@@ -24,6 +24,7 @@ from repro.lib import (
     IirFilter,
     PipelinedAdc,
     PipelinedAdcModule,
+    PulseSource,
     SampleHold,
     SaturatingAmp,
     SineSource,
@@ -31,7 +32,8 @@ from repro.lib import (
     butterworth_lowpass_sections,
     fir_lowpass,
 )
-from repro.sync import ElnTdfModule
+from repro.lsf import LsfLtfNd, LsfNetwork, LsfSource
+from repro.sync import ElnTdfModule, LsfTdfModule
 from repro.tdf import TdfIn, TdfModule, TdfOut, TdfSignal
 
 
@@ -45,10 +47,11 @@ def us(x):
 BLOCK_CONFIGS = [(4, 16), (16, 64), (256, 1024)]
 
 
-def run_sim(build, duration, *, block, batch=16, compact=64):
+def run_sim(build, duration, *, block, batch=16, compact=64,
+            observe=None):
     top = build()
     Simulator(top, tdf_block=block, tdf_batch=batch,
-              tdf_compact_every=compact).run(duration)
+              tdf_compact_every=compact, observe=observe).run(duration)
     return top
 
 
@@ -321,29 +324,92 @@ def test_feedback_delay_loop(batch, compact):
 
 
 class RcTop(Module):
-    def __init__(self):
+    """source -> RC lowpass (tau = 1 us) -> sink.  ``gated`` drives it
+    with a pulse train it can settle on; ``lsf`` builds the lowpass as
+    a signal-flow model instead of a network."""
+
+    def __init__(self, gated=False, lsf=False, **module_options):
         super().__init__("rc_top")
-        net = Network("rc")
-        net.add(Vsource("Vin", "in", "0"))
-        net.add(Resistor("R1", "in", "out", 1e3))
-        net.add(Capacitor("C1", "out", "0", 1e-9))
         self.s_in = TdfSignal("s_in")
         self.s_out = TdfSignal("s_out")
-        self.src = SineSource("src", 40e3, parent=self, timestep=us(1))
-        self.rc = ElnTdfModule("rc", net, parent=self)
+        if gated:
+            self.src = PulseSource("src", 500e-6, parent=self,
+                                   timestep=us(1))
+        else:
+            self.src = SineSource("src", 40e3, parent=self,
+                                  timestep=us(1))
         self.sink = TdfSink("sink", parent=self)
         self.src.out(self.s_in)
-        self.rc.drive_voltage("Vin")(self.s_in)
-        self.rc.sample_voltage("out")(self.s_out)
+        if lsf:
+            lsf_net = LsfNetwork()
+            u, y = lsf_net.signal("u"), lsf_net.signal("y")
+            lsf_net.add(LsfSource("src", u))
+            lsf_net.add(LsfLtfNd("filt", u, y, num=[1.0],
+                                 den=[1.0, 1e-6]))
+            self.rc = LsfTdfModule("rc", lsf_net, parent=self,
+                                   **module_options)
+            self.rc.drive(u)(self.s_in)
+            self.rc.sample(y)(self.s_out)
+        else:
+            net = Network("rc")
+            net.add(Vsource("Vin", "in", "0"))
+            net.add(Resistor("R1", "in", "out", 1e3))
+            net.add(Capacitor("C1", "out", "0", 1e-9))
+            self.rc = ElnTdfModule("rc", net, parent=self,
+                                   **module_options)
+            self.rc.drive_voltage("Vin")(self.s_in)
+            self.rc.sample_voltage("out")(self.s_out)
+        if gated:
+            self.rc.enable_gating(tolerance=1e-9)
         self.sink.inp(self.s_out)
 
 
-@pytest.mark.parametrize("batch,compact", BLOCK_CONFIGS)
-def test_ct_embedded_cluster(batch, compact):
-    ref = run_sim(RcTop, us(2000), block=False)
-    got = run_sim(RcTop, us(2000), block=True, batch=batch,
-                  compact=compact)
+#: configuration -> (build, observe of the block run): the plain RC,
+#: and every setup that once kept the CT module off the window path.
+CT_CONFIGS = {
+    "plain": (RcTop, None),
+    "gated": (lambda: RcTop(gated=True), None),
+    "oversampled": (lambda: RcTop(oversample=4), None),
+    "resilient": (lambda: RcTop(resilient=True), None),
+    "lsf": (lambda: RcTop(lsf=True), None),
+    "lsf_fine": (lambda: RcTop(lsf=True), "fine"),
+    "fine": (RcTop, "fine"),
+}
+CT_CASES = [
+    pytest.param(batch, compact, config,
+                 id=(f"{batch}-{compact}" if config == "plain"
+                     else f"{config}-{batch}-{compact}"))
+    for config in CT_CONFIGS for batch, compact in BLOCK_CONFIGS
+]
+
+
+@pytest.mark.parametrize("batch,compact,config", CT_CASES)
+def test_ct_embedded_cluster(batch, compact, config):
+    build, observe = CT_CONFIGS[config]
+    ref = run_sim(build, us(2000), block=False)
+    got = run_sim(build, us(2000), block=True, batch=batch,
+                  compact=compact, observe=observe)
     assert_streams_equal(ref.sink, got.sink)
+    assert got.rc.skipped_activations == ref.rc.skipped_activations
+
+
+@pytest.mark.parametrize("lsf", [False, True], ids=["eln", "lsf"])
+def test_fine_traces_one_span_per_window(lsf):
+    """Under ``observe="fine"`` the CT module keeps the window path: one
+    ``solver.advance_window`` span per window, whose ``steps`` add up
+    to the window-path solver steps.  Only activations the cluster runs
+    one at a time (here the last one) trace a ``solver.advance``."""
+    top = RcTop(lsf=lsf)
+    sim = Simulator(top, observe="fine")
+    sim.run(us(2000))
+    tracer = sim.telemetry.tracer
+    windows = tracer.spans_named("solver.advance_window")
+    scalar = tracer.spans_named("solver.advance")
+    window_steps = sum(attrs["steps"] for _start, _dur, attrs in windows)
+    assert len(windows) > 100 and len(scalar) == 1
+    assert window_steps + len(scalar) \
+        == sim.metrics_snapshot()["solver.steps"] \
+        == top.rc.activation_count - 1
 
 
 # -- object-mode (non-float payload) fallback --------------------------------
